@@ -1,19 +1,21 @@
 """Benchmark of metric-lines CLI jobs, each in a fresh process.
 
-    python3 bench/run.py --workload {enumerate,lines,metrizable} --seed N \
+    python3 bench/run.py --workload {search,lines} --seed N \
         --seconds S --trace {0,1}
 
 Run from the repository root.  The benchmark writes its inputs, runs the
 workload's ops one at a time as `python bench/launch.py ... --format json
-VERB ...` with PYTHONPATH=src, and checks every output (workloads.py).  A
-round is one pass over the ops; rounds repeat until S seconds have passed,
-and at least one always runs.
+VERB ...` with PYTHONPATH=src, and checks every output (workloads.py).  It
+first runs ops untimed for WARM_UP_S seconds.  Then a round is one pass over
+the ops; rounds repeat until S seconds have passed, and at least one
+always runs.
 
 --trace 0 prints the end-to-end metrics: setup_s (median over ops of the
 time from process start until metriclines.cli is imported), wall_s and
-cpu_s (median over rounds of the round's summed op wall time and op CPU
-time, pool workers included), peak_rss_mb (largest resident set of any op
-process or worker) and op_p50_ms (median op time, process start to exit).
+cpu_s (the run's summed op wall time and op CPU time, pool workers
+included, over its number of rounds), peak_rss_mb (largest resident set
+of any op process or worker) and op_geomean_ms (geometric mean of the op
+times, process start to exit).
 
 --trace 1 runs one untraced round and then one traced round, with the same
 settings, and prints the per-layer metrics of the traced round together
@@ -27,6 +29,7 @@ failed and metrics.  A copy with every op's figures goes to bench/runs/.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import shutil
@@ -45,8 +48,11 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 RUNS = BENCH / "runs"
 OP_DEADLINE_S = 170.0  # seconds from the start of a run by which every op must end
+# untimed ops before the first round: without them the first round of a
+# run took up to 50 % longer than the later ones
+WARM_UP_S = 5.0
 # The traced run keeps every LP call in the traced process.
-TRACE_ENV = {"metrizable": {"METRIC_LINES_THREADS": "1"}}
+TRACE_ENV = {"search": {"METRIC_LINES_THREADS": "1"}}
 
 
 def child_env(extra: dict[str, str]) -> dict[str, str]:
@@ -125,22 +131,33 @@ def run_round(ops, workdir, env, trace, deadline) -> list[dict]:
 
 def end_to_end(rounds: list[list[dict]]) -> dict[str, float]:
     done = [r for rnd in rounds for r in rnd if "error" not in r]
+    # wall_s and cpu_s are means over the whole run, not medians over its
+    # one to three rounds: the host's speed wanders from second to second,
+    # and the mean over the longest window smooths that best
     return {
         "setup_s": statistics.median(r["setup_s"] for r in done),
-        "wall_s": statistics.median(sum(r["seconds"] for r in rnd) for rnd in rounds),
-        "cpu_s": statistics.median(sum(r["cpu_s"] for r in rnd) for rnd in rounds),
+        "wall_s": sum(r["seconds"] for r in done) / len(rounds),
+        "cpu_s": sum(r["cpu_s"] for r in done) / len(rounds),
         "peak_rss_mb": max(r["max_rss_kb"] for r in done) / 1024,
-        "op_p50_ms": statistics.median(r["seconds"] for r in done) * 1000,
+        # the median op sat in the gap between lines' 1.3 s and 1.9 s jobs
+        # and jumped across it from run to run; every op moves the
+        # geometric mean by its relative change
+        "op_geomean_ms": statistics.geometric_mean(r["seconds"] for r in done) * 1000,
     }
 
 
-UNITS = {"setup_s": "s", "wall_s": "s", "cpu_s": "s", "peak_rss_mb": "MB", "op_p50_ms": "ms"}
+UNITS = {
+    "setup_s": "s", "wall_s": "s", "cpu_s": "s", "peak_rss_mb": "MB", "op_geomean_ms": "ms",
+}
 
 
-def warm_up(env: dict) -> None:
-    """Import the program once, so that every op finds its bytecode cached."""
-    subprocess.run([sys.executable, "-c", "import metriclines.cli"], cwd=ROOT, env=env,
-                   check=True, timeout=60)
+def warm_up(ops, workdir, env, deadline) -> list[dict]:
+    """Run ops in round order, untimed, until WARM_UP_S seconds have passed."""
+    out, start = [], time.monotonic()
+    for op in itertools.cycle(ops):
+        out.append(run_op(op, workdir, env, False, deadline))
+        if "error" in out[-1] or time.monotonic() - start >= WARM_UP_S:
+            return out
 
 
 def benchmark(workload: str, seed: int, seconds: float, trace: bool, workdir: Path) -> dict:
@@ -148,7 +165,7 @@ def benchmark(workload: str, seed: int, seconds: float, trace: bool, workdir: Pa
     deadline = started + OP_DEADLINE_S
     ops = workloads.BUILDERS[workload](seed, workdir)
     env = child_env(TRACE_ENV.get(workload, {}) if trace else {})
-    warm_up(env)
+    warm = warm_up(ops, workdir, env, deadline)
     prepare_s = time.monotonic() - started
 
     if trace:
@@ -164,7 +181,9 @@ def benchmark(workload: str, seed: int, seconds: float, trace: bool, workdir: Pa
                 break
     results = [r for rnd in rounds for r in rnd]
     failed = [r for r in results if "error" in r]
-    wrong = [r for r in results if "wrong" in r]
+    # an op that fails in the warm-up fails again in the first round, where
+    # it is counted; a wrong warm-up output makes the run incorrect
+    wrong = [r for r in warm + results if "wrong" in r]
     for r in failed + wrong:
         sys.stderr.write(f"{r['label']}: {r.get('error') or r['wrong']}\n")
 
@@ -188,7 +207,8 @@ def benchmark(workload: str, seed: int, seconds: float, trace: bool, workdir: Pa
         r.pop("record", None)
     detail = {
         "workload": workload, "seed": seed, "seconds": seconds, "trace": int(trace),
-        "prepare_s": prepare_s, "rounds": rounds,
+        "prepare_s": prepare_s,
+        "warm_up": [[r["label"], r["seconds"]] for r in warm], "rounds": rounds,
     }
     (RUNS / f"result-{workload}-seed{seed}-trace{int(trace)}.json").write_text(
         json.dumps(detail, indent=1))

@@ -82,7 +82,7 @@ def enumeration():
 
 def test_enumeration_reference_counts(enumeration):
     assert enumeration.connected_3_to_7 == 994
-    assert enumeration.graphs_7 == 1044
+    assert enumeration.one_two_graphs == 156
     assert enumeration.triple_classes_5 == 34
 
 
