@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .errors import (
@@ -251,12 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include elapsed_ms in search/scan reports (breaks byte determinism)",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed the process RNG for reproducible sampling",
-    )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("lines", help="distinct lines of a metric space")
@@ -315,8 +308,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.func(args)
     except (BadParams, SizeCap) as exc:

@@ -9,20 +9,30 @@ positivity, and an upper cap that removes scale freedom.  Strictness is
 bought with a shared margin variable that gets maximized; the assignment
 is feasible exactly when the optimal margin is positive.
 
-Branches are decided exactly.  A cheap presolve first looks for a cycle in
-the forced strict orderings (the outer pair of an edge must exceed both
-inner pairs); a cycle certifies margin 0 without touching the simplex.
-The remaining branches are eliminated down to their free coordinates and
-handed to the integer-pivoting solver.  Branch order is the base-3 counter
-over the sorted edge list (edge 0 in the least significant digit), and the
-first feasible branch supplies the witness, so results never depend on how
-the work is scheduled.
+Branches are scanned serially, in the base-3 counter order over the sorted
+edge list: edge k is digit k (edge 0 the least significant), and digit d
+puts the d-th smallest vertex of the edge in the middle.  The first
+feasible branch supplies the witness.
+
+An automorphism of the triple system maps each branch to a branch whose
+problem is the same up to relabelling the points, so both have the same
+optimal margin.  Hence once a branch is decided infeasible, its images
+under the automorphisms found are infeasible too: the later ones go into a
+pending set, and the counter skips them when it reaches them.  A skipped
+branch is infeasible, so the first feasible branch is always decided, and
+the verdict, assignments_tried, witness and best_margin are those of a
+scan that decides every branch.  The argument holds for any set of
+automorphisms, so the search for them stops after _AUTOMORPHISM_CAP.
+
+A branch that is not skipped is decided exactly.  A cheap presolve first
+looks for a cycle in the forced strict orderings (the outer pair of an
+edge must exceed both inner pairs); a cycle certifies margin 0 without
+touching the simplex.  The remaining branches are eliminated down to their
+free coordinates and handed to the integer-pivoting solver.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -34,8 +44,9 @@ from .metric import MetricSpace, validate_metric
 from .triples import TripleSystem, betweenness_triples
 
 _DEFAULT_EDGE_CAP = 12
-_POOL_THRESHOLD = 243
-_CHUNK = 243
+# automorphisms kept per system: each infeasible branch costs this many
+# images, and a larger group only skips fewer branches
+_AUTOMORPHISM_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -44,20 +55,6 @@ class FeasibilityResult:
     witness: MetricSpace | None
     assignments_tried: int
     best_margin: Fraction
-
-
-def worker_count() -> int:
-    """Worker cap from METRIC_LINES_THREADS, defaulting to the machine's."""
-    raw = os.environ.get("METRIC_LINES_THREADS", "").strip()
-    if raw:
-        try:
-            k = int(raw)
-        except ValueError:
-            raise BadParams(f"METRIC_LINES_THREADS must be an integer, got {raw!r}")
-        if k < 1:
-            raise BadParams("METRIC_LINES_THREADS must be at least 1")
-        return k
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -275,22 +272,125 @@ def _decide_branch(
     return sol.value, dists
 
 
-def _scan_chunk(
-    prob: _Problem, start: int, stop: int
-) -> tuple[int | None, Fraction, list[Fraction] | None]:
-    """Decide assignments [start, stop): first feasible index, best margin, distances."""
+def _automorphisms(edges: tuple[tuple[int, int, int], ...]) -> list[dict[int, int]]:
+    """Up to _AUTOMORPHISM_CAP automorphisms of the edge set, the identity first.
+
+    Each maps the points that lie on some edge; the others move no branch.
+    Points are matched in breadth-first order over shared edges, so an edge
+    is checked as soon as its points are mapped.  An image must have the
+    same degree, send every edge it closes onto an edge, and close as many.
+    """
+    eset = set(edges)
+    link: dict[int, list[tuple[int, int]]] = {}
+    for e in edges:
+        for i, p in enumerate(e):
+            link.setdefault(p, []).append(e[:i] + e[i + 1 :])
+    order: list[int] = []
+    placed: set[int] = set()
+    for start in sorted(link):
+        if start in placed:
+            continue
+        placed.add(start)
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            for pair in link[order[head]]:
+                for r in pair:
+                    if r not in placed:
+                        placed.add(r)
+                        order.append(r)
+            head += 1
+
+    img: dict[int, int] = {}
+    used: set[int] = set()
+    found: list[dict[int, int]] = []
+
+    def fits(p: int, q: int) -> bool:
+        if len(link[p]) != len(link[q]):
+            return False
+        closed = 0
+        for r, s in link[p]:
+            if r in img and s in img:
+                if tuple(sorted((q, img[r], img[s]))) not in eset:
+                    return False
+                closed += 1
+        return closed == sum(1 for r, s in link[q] if r in used and s in used)
+
+    def extend(depth: int) -> bool:
+        """Map order[depth:]; True once enough automorphisms are found."""
+        if depth == len(order):
+            found.append(dict(img))
+            return len(found) >= _AUTOMORPHISM_CAP
+        p = order[depth]
+        for q in order:
+            if q not in used and fits(p, q):
+                img[p] = q
+                used.add(q)
+                done = extend(depth + 1)
+                del img[p]
+                used.discard(q)
+                if done:
+                    return True
+        return False
+
+    extend(0)
+    return found
+
+
+def _branch_maps(
+    edges: tuple[tuple[int, int, int], ...], autos: list[dict[int, int]]
+) -> list[list[tuple[int, int, int]]]:
+    """Per automorphism, per edge, per digit: what it adds to the image branch.
+
+    The image of branch sum(d_k 3^k) is sum(maps[k][d_k]): edge k goes to
+    some edge j, and its middle to the vertex at digit d' of edge j.
+    """
+    index = {e: k for k, e in enumerate(edges)}
+    maps = []
+    for sigma in autos:
+        per_edge = []
+        for e in edges:
+            image = tuple(sorted(sigma[p] for p in e))
+            weight = 3 ** index[image]
+            per_edge.append(tuple(image.index(sigma[mid]) * weight for mid in e))
+        maps.append(per_edge)
+    return maps
+
+
+def _scan(
+    prob: _Problem, autos: list[dict[int, int]]
+) -> tuple[int | None, Fraction, list[Fraction] | None, int]:
+    """Decide branches in counter order, skipping images of infeasible ones.
+
+    Returns the first feasible branch, the best margin, that branch's
+    distances and the number of branches decided.  With autos holding only
+    the identity, every branch up to the first feasible one is decided.
+    """
     pairs, pidx = _pairs(prob.n)
     opts = _edge_options(prob, pidx)
     eset = set(prob.edges)
     nonedge = [t for t in combinations(range(prob.n), 3) if t not in eset]
+    maps = _branch_maps(prob.edges, autos)
+    m = len(prob.edges)
+    pending: set[int] = set()
     best = Fraction(0)
-    for a in range(start, stop):
+    decided = 0
+    for a in range(3**m):
+        if a in pending:
+            pending.discard(a)
+            continue
+        decided += 1
         margin, dists = _decide_branch(prob, opts, pairs, pidx, nonedge, a)
         if margin > best:
             best = margin
         if dists is not None:
-            return a, best, dists
-    return None, best, None
+            return a, best, dists, decided
+        digits = [a // 3**k % 3 for k in range(m)]
+        for per_edge in maps:
+            image = sum(w[d] for w, d in zip(per_edge, digits))
+            if image > a:
+                pending.add(image)
+    return None, best, None, decided
 
 
 def _witness_from(prob: _Problem, dists: list[Fraction]) -> MetricSpace:
@@ -311,9 +411,13 @@ def metrizable(
 ) -> FeasibilityResult:
     """Decide whether some metric space induces exactly these triples.
 
-    Tries every per-edge middle assignment in base-3 counter order until
-    one admits a metric; the witness comes from the first feasible branch
-    and is verified by recomputing its betweenness triples.
+    Walks the per-edge middle assignments serially in base-3 counter order
+    until one admits a metric.  A branch that an automorphism of T maps
+    from a branch already decided infeasible is skipped, as it is
+    infeasible too; every other branch is decided by its exact LP.  The
+    result is that of deciding every branch in turn: assignments_tried
+    counts skipped branches, and the witness comes from the first feasible
+    branch and is verified by recomputing its betweenness triples.
     """
     if T.n < 3:
         raise TooFewPoints(T.n, 3)
@@ -324,31 +428,7 @@ def metrizable(
     if len(edges) > max_edges:
         raise TooManyAssignments(len(edges), max_edges)
     prob = _Problem(T.n, cap, edges)
-    total = 3 ** len(edges)
-
-    nworkers = worker_count()
-    if nworkers > 1 and total >= _POOL_THRESHOLD:
-        return _run_pooled(prob, total, nworkers)
-
-    first, best, dists = _scan_chunk(prob, 0, total)
+    first, best, dists, _ = _scan(prob, _automorphisms(edges))
     if first is None:
-        return FeasibilityResult(False, None, total, best)
+        return FeasibilityResult(False, None, 3 ** len(edges), best)
     return FeasibilityResult(True, _witness_from(prob, dists), first + 1, best)
-
-
-def _run_pooled(prob: _Problem, total: int, nworkers: int) -> FeasibilityResult:
-    spans = [(s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK)]
-    best = Fraction(0)
-    with ProcessPoolExecutor(max_workers=nworkers) as pool:
-        futures = [pool.submit(_scan_chunk, prob, s, e) for s, e in spans]
-        for fut in futures:
-            first, chunk_best, dists = fut.result()
-            if chunk_best > best:
-                best = chunk_best
-            if first is not None:
-                for later in futures:
-                    later.cancel()
-                return FeasibilityResult(
-                    True, _witness_from(prob, dists), first + 1, best
-                )
-    return FeasibilityResult(False, None, total, best)

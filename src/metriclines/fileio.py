@@ -105,6 +105,8 @@ def _load_edge_list(
     m = _parse_int(source, lineno, toks[1][0], toks[1][1], "m")
     if n < 0 or m < 0:
         raise ParseError(source, lineno, toks[0][0], "n and m must be nonnegative")
+    if n < 1:
+        raise ParseError(source, lineno, toks[0][0], f"n must be at least 1, got {n}")
     body = rows[1:]
     if len(body) != m:
         where = body[-1][0] + 1 if body else lineno + 1

@@ -46,10 +46,12 @@ class Graph:
                 raise BadParams(f"adjacency row {u} mentions vertices past n")
             if row >> u & 1:
                 raise BadParams(f"self-loop at {u}")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.adj[u] >> v & 1) != (self.adj[v] >> u & 1):
-                    raise BadParams(f"adjacency not symmetric at ({u},{v})")
+        for u, row in enumerate(self.adj):
+            while row:
+                v = (row & -row).bit_length() - 1
+                row &= row - 1
+                if not self.adj[v] >> u & 1:
+                    raise BadParams(f"adjacency not symmetric at ({min(u, v)},{max(u, v)})")
 
     @property
     def m(self) -> int:

@@ -9,6 +9,7 @@ on PATH) with a metric on stdin; the other runs ``python -m metriclines.cli``.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import metriclines
 from metriclines import FeasibilityResult, graph_from_edges
 from metriclines.cli import main
 from metriclines.search import ScanReport
@@ -311,8 +313,16 @@ class TestErrorHandling:
         capsys.readouterr()
 
     def test_seed_accepted(self, capsys):
-        assert run_main("--seed", "7", "construct", "pentagon") == 0
-        capsys.readouterr()
+        # --seed seeded a generator that nothing drew from; it is gone now
+        assert run_main("--seed", "7", "construct", "pentagon") == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_edge_list_without_points_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "empty.txt"
+        p.write_text("0 0\n")
+        for argv in (("check", "diam"), ("hyperlines",), ("metrizable",)):
+            assert run_main(*argv, str(p)) == 3
+            assert "n must be at least 1, got 0" in capsys.readouterr().err
 
 
 SCRIPT = "metric-lines"
@@ -355,6 +365,25 @@ class TestConsoleScript:
             assert json.loads(proc.stdout)["count"] == 10
         # last, so that without a TOML reader only this check is skipped
         assert declared_scripts().get(SCRIPT) == ENTRY_POINT
+
+    def test_import_starts_no_pool_machinery(self):
+        # multiprocessing and concurrent.futures cost a cold start ~35 ms
+        src = Path(metriclines.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH", "")) if p
+        )
+        code = (
+            "import sys\n"
+            "import metriclines.cli\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures')"
+            " if m in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_module_invocation(self, tmp_path):
         p = tmp_path / "k34.txt"

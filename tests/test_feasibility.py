@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,10 +16,11 @@ from metriclines import (
     complete_quadruple,
     fano,
     metrizable,
+    enum_triple_systems,
     triple_system,
-    worker_count,
 )
 from metriclines.extremal import pentagon
+from metriclines.feasibility import _automorphisms, _Problem, _scan
 
 
 class TestSmallDecisions:
@@ -112,34 +115,70 @@ class TestValidation:
         assert res.metrizable
 
 
-class TestWorkerConfig:
-    def test_worker_count_reads_env(self, monkeypatch):
-        monkeypatch.setenv("METRIC_LINES_THREADS", "3")
-        assert worker_count() == 3
+def scans(T):
+    """The reduced scan and the scan that decides every branch, on T."""
+    prob = _Problem(T.n, Fraction(1), T.sorted_edges())
+    autos = _automorphisms(prob.edges)
+    return _scan(prob, autos), _scan(prob, autos[:1])
 
-    def test_worker_count_default(self, monkeypatch):
-        monkeypatch.delenv("METRIC_LINES_THREADS", raising=False)
-        assert worker_count() >= 1
 
-    def test_worker_count_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("METRIC_LINES_THREADS", "two")
-        with pytest.raises(BadParams):
-            worker_count()
-        monkeypatch.setenv("METRIC_LINES_THREADS", "0")
-        with pytest.raises(BadParams):
-            worker_count()
+@pytest.fixture(scope="module")
+def fano_scans():
+    # the full scan solves all 2187 LPs, so the tests share one
+    return scans(fano())
 
-    def test_pool_and_serial_agree(self, monkeypatch):
-        # 5 edges = 243 assignments, exactly the pooled threshold
-        T = triple_system(
-            5, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4)]
+
+def assert_same(T, reduced, full):
+    first, best, dists, decided = reduced
+    assert (first, best, dists) == full[:3]
+    assert decided <= full[3]
+    res = metrizable(T)
+    assert res.metrizable is (first is not None)
+    assert res.assignments_tried == (
+        first + 1 if first is not None else 3 ** len(T.edges)
+    )
+    assert res.best_margin == best
+    if first is not None:
+        assert betweenness_triples(res.witness).edges == T.edges
+
+
+class TestSymmetryReduction:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_full_scan_on_small_classes(self, n):
+        for T in enum_triple_systems(n):
+            if len(T.edges) <= 6:
+                assert_same(T, *scans(T))
+
+    def test_matches_full_scan_on_fano_and_quadruple(self, fano_scans):
+        assert_same(fano(), *fano_scans)
+        perm = list(range(7))
+        random.Random(1).shuffle(perm)
+        relabelled = triple_system(
+            7, [tuple(perm[p] for p in e) for e in fano().edges]
         )
-        monkeypatch.setenv("METRIC_LINES_THREADS", "1")
-        serial = metrizable(T)
-        monkeypatch.setenv("METRIC_LINES_THREADS", "2")
-        pooled = metrizable(T)
-        assert serial.metrizable == pooled.metrizable
-        assert serial.assignments_tried == pooled.assignments_tried
-        assert serial.best_margin == pooled.best_margin
-        if serial.metrizable:
-            assert serial.witness.dist == pooled.witness.dist
+        assert relabelled.edges != fano().edges  # not itself an automorphism
+        assert_same(relabelled, *scans(relabelled))
+        assert_same(complete_quadruple(), *scans(complete_quadruple()))
+
+    def test_fano_decides_one_branch_per_orbit(self, fano_scans):
+        assert len(_automorphisms(fano().sorted_edges())) == 168
+        reduced, full = fano_scans
+        assert reduced[0] is None
+        assert reduced[3] == 18
+        assert full[3] == 3**7
+
+    def test_automorphisms_are_automorphisms(self):
+        T = triple_system(6, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
+        autos = _automorphisms(T.sorted_edges())
+        assert autos[0] == {p: p for p in range(6)}
+        assert len({tuple(sorted(s.items())) for s in autos}) == len(autos)
+        for sigma in autos:
+            assert {tuple(sorted(sigma[p] for p in e)) for e in T.edges} == T.edges
+
+    def test_large_group_is_not_enumerated(self):
+        # 12 disjoint triples have 12! * 6^12 automorphisms
+        edges = tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(12))
+        t0 = time.perf_counter()
+        autos = _automorphisms(edges)
+        assert time.perf_counter() - t0 < 1.0
+        assert 1 < len(autos) <= 1024

@@ -72,6 +72,14 @@ class TestGraphBasics:
         with pytest.raises(BadParams):
             graph_from_edges(3, [(0, 3)])
 
+    def test_rejects_asymmetric_adjacency(self):
+        # 0 and 1 are adjacent both ways; 0 lists 2, but 2 does not list 0
+        with pytest.raises(BadParams, match=r"not symmetric at \(0,2\)"):
+            Graph(3, (0b110, 0b001, 0b000))
+        # and the same pair listed from the other side only
+        with pytest.raises(BadParams, match=r"not symmetric at \(0,2\)"):
+            Graph(3, (0b000, 0b000, 0b001))
+
     def test_adjacency_round_trip(self):
         rows = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
         G = adjacency_from_rows(rows)
