@@ -24,12 +24,13 @@ from .errors import (
 from .fileio import format_rational
 from .graphs import (
     Graph,
+    first_non_one_two,
     graph_dist_rows,
     graph_from_edges,
     int_metric_line_masks,
     is_connected,
 )
-from .metric import MetricSpace, line_family, line_of, metric_from_ints, uniform_space
+from .metric import MetricSpace, extremes, line_family, line_of, uniform_space, validate_metric
 from .triples import TripleSystem, hyper_line
 
 Instance = Union[MetricSpace, Graph]
@@ -80,7 +81,7 @@ def pentagon() -> MetricSpace:
         [2 if abs(i - j) % 5 in (2, 3) else (0 if i == j else 1) for j in range(5)]
         for i in range(5)
     ]
-    return metric_from_ints(rows)
+    return validate_metric(rows)
 
 
 def group_space(k: int, m: int) -> MetricSpace:
@@ -124,7 +125,7 @@ def _space_from_group_sizes(sizes: list[int]) -> MetricSpace:
         [0 if i == j else (2 if group_of[i] == group_of[j] else 1) for j in range(n)]
         for i in range(n)
     ]
-    return metric_from_ints(rows)
+    return validate_metric(rows)
 
 
 def path_graph(t: int) -> Graph:
@@ -197,15 +198,6 @@ def bound_value(spec: BoundSpec) -> tuple[Fraction, Fraction]:
     return power_bound(spec.bound_id, dict(spec.params)).sandwich()
 
 
-def _metric_line_count(space: MetricSpace) -> int:
-    return line_family(space).count
-
-
-def _graph_line_masks(graph: Graph) -> list[int]:
-    rows = graph_dist_rows(graph)
-    return int_metric_line_masks(graph.n, rows)
-
-
 def check_bound(instance: Instance, bound_id: str) -> BoundReport:
     """Count the instance's lines and compare against a named bound.
 
@@ -218,43 +210,32 @@ def check_bound(instance: Instance, bound_id: str) -> BoundReport:
             raise BadParams("range bound takes a metric space")
         if instance.n < 2:
             raise PreconditionUnmet("range bound needs at least two points")
-        nonzero = [
-            instance.dist[i][j]
-            for i in range(instance.n)
-            for j in range(i + 1, instance.n)
-        ]
-        rho = max(nonzero) / min(nonzero)
+        rho = extremes(instance)[2]
         params: dict[str, Rational] = {"n": instance.n, "rho": rho}
-        count = _metric_line_count(instance)
+        count = line_family(instance).count
     elif bound_id in ("diam", "graphs_corollary"):
         if not isinstance(instance, Graph):
             raise BadParams(f"{bound_id} bound takes a graph")
         if not is_connected(instance):
             raise PreconditionUnmet(f"{bound_id} bound needs a connected graph")
-        masks = _graph_line_masks(instance)
-        full = (1 << instance.n) - 1
-        if any(mask == full for mask in masks):
+        rows = graph_dist_rows(instance)
+        masks = set(int_metric_line_masks(instance.n, rows))
+        if (1 << instance.n) - 1 in masks:
             raise PreconditionUnmet(
                 f"{bound_id} bound excludes spaces with a universal line"
             )
-        count = len(set(masks))
+        count = len(masks)
         if bound_id == "diam":
-            rows = graph_dist_rows(instance)
-            t = max(max(row) for row in rows)
-            params = {"t": t}
+            params = {"t": max(map(max, rows))}
         else:
             params = {"n": instance.n}
     elif bound_id == "onetwo_lower":
         if not isinstance(instance, MetricSpace):
             raise BadParams("onetwo_lower bound takes a metric space")
-        for i in range(instance.n):
-            for j in range(i + 1, instance.n):
-                if instance.dist[i][j] not in (1, 2):
-                    raise PreconditionUnmet(
-                        "onetwo_lower bound needs all distances in {1, 2}"
-                    )
+        if first_non_one_two(instance) is not None:
+            raise PreconditionUnmet("onetwo_lower bound needs all distances in {1, 2}")
         params = {"n": instance.n}
-        count = _metric_line_count(instance)
+        count = line_family(instance).count
     else:
         raise BadParams(f"no instance check for bound {bound_id!r}")
 
@@ -281,11 +262,7 @@ def bucket_decomposition(space: MetricSpace, x: int) -> tuple[frozenset[int], in
         raise TooFewPoints(space.n, 2)
     if not 0 <= x < space.n:
         raise IndexOutOfRange(x, space.n)
-    delta = min(
-        space.dist[i][j]
-        for i in range(space.n)
-        for j in range(i + 1, space.n)
-    )
+    delta = extremes(space)[0]
     buckets: dict[int, list[int]] = {}
     for u in range(space.n):
         if u == x:
@@ -306,20 +283,12 @@ def equal_line_class(
     Ties are broken toward the lexicographically smallest member set.
     """
     if isinstance(family_source, MetricSpace):
-        n = family_source.n
-
-        def line_points(v: int) -> tuple[int, ...]:
-            return line_of(family_source, x, v).sorted_points()
-
+        line = line_of
     elif isinstance(family_source, TripleSystem):
-        n = family_source.n
-
-        def line_points(v: int) -> tuple[int, ...]:
-            return hyper_line(family_source, x, v).sorted_points()
-
+        line = hyper_line
     else:
         raise BadParams("family source must be a metric space or triple system")
-
+    n = family_source.n
     if not 0 <= x < n:
         raise IndexOutOfRange(x, n)
     if x in tset:
@@ -328,7 +297,7 @@ def equal_line_class(
     for v in sorted(tset):
         if not 0 <= v < n:
             raise IndexOutOfRange(v, n)
-        classes.setdefault(line_points(v), []).append(v)
+        classes.setdefault(line(family_source, x, v).sorted_points(), []).append(v)
     if not classes:
         return frozenset()
     best = min(classes.values(), key=lambda members: (-len(members), members))

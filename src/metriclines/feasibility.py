@@ -38,12 +38,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .errors import BadParams, SolverFailure, TooFewPoints, TooManyAssignments
+from .errors import BadParams, SizeCap, SolverFailure, TooFewPoints, TooManyAssignments
 from .lp import maximize_scaled
 from .metric import MetricSpace, validate_metric
 from .triples import TripleSystem, betweenness_triples
 
 _DEFAULT_EDGE_CAP = 12
+# most points decided: one LP on disjoint triples took 0.4 s at n = 10,
+# 1.3 s at n = 12 and over 120 s at n = 36
+MAX_METRIZABLE_N = 10
 # automorphisms kept per system: each infeasible branch costs this many
 # images, and a larger group only skips fewer branches
 _AUTOMORPHISM_CAP = 1024
@@ -418,6 +421,8 @@ def metrizable(
     result is that of deciding every branch in turn: assignments_tried
     counts skipped branches, and the witness comes from the first feasible
     branch and is verified by recomputing its betweenness triples.
+    Systems on more than MAX_METRIZABLE_N points raise SizeCap before the
+    first LP.
     """
     if T.n < 3:
         raise TooFewPoints(T.n, 3)
@@ -427,6 +432,8 @@ def metrizable(
     edges = T.sorted_edges()
     if len(edges) > max_edges:
         raise TooManyAssignments(len(edges), max_edges)
+    if T.n > MAX_METRIZABLE_N:
+        raise SizeCap(f"metrizable is capped at n <= {MAX_METRIZABLE_N}, got {T.n}")
     prob = _Problem(T.n, cap, edges)
     first, best, dists, _ = _scan(prob, _automorphisms(edges))
     if first is None:

@@ -8,6 +8,11 @@ A 1-2 space (every off-diagonal distance 1 or 2) is the same thing as a
 graph: adjacent means distance 1.  Lines in such a space reduce to bitmask
 formulas on adjacency rows, and the case analysis in distinct_line_case
 spells out when two generating pairs are forced to give different lines.
+
+Betweenness is decided exactly, with no floats, on integer tables: hop
+counts are integers already, and a space's integer-scaled table (see
+``metric``) feeds the same kernel, int_metric_line_masks.  The 1-2 line
+masks are the XOR/AND formulas on adjacency rows.
 """
 
 from __future__ import annotations
@@ -24,8 +29,10 @@ from .errors import (
     DisconnectedGraph,
     IndexOutOfRange,
     NotOneTwoSpace,
+    TooFewPoints,
 )
-from .metric import LineFamily, MetricSpace, line_family, validate_metric
+from .metric import LineFamily, MetricSpace, family_from_masks, line_of, validate_metric
+from .metric import int_metric_line_masks  # re-exported: the graph searches use it
 
 
 @dataclass(frozen=True)
@@ -150,8 +157,7 @@ def graph_dist_rows(G: Graph) -> list[list[int]]:
 
 def graph_metric(G: Graph) -> MetricSpace:
     """The shortest-path metric of a connected graph."""
-    rows = graph_dist_rows(G)
-    return validate_metric([[Fraction(x) for x in row] for row in rows])
+    return validate_metric(graph_dist_rows(G))
 
 
 def diameter(G: Graph) -> int:
@@ -197,19 +203,25 @@ def geodesic_path(G: Graph) -> tuple[int, ...]:
     return tuple(path)
 
 
+def first_non_one_two(S: MetricSpace) -> tuple[int, int] | None:
+    """The first pair i < j, in lexicographic order, not at distance 1 or 2."""
+    one, two = S.scale, 2 * S.scale
+    allowed = {one, two}
+    for i, row in enumerate(S.scaled):
+        if not allowed.issuperset(row[i + 1 :]):
+            j = next(j for j in range(i + 1, S.n) if row[j] != one and row[j] != two)
+            return i, j
+    return None
+
+
 def is_one_two(S: MetricSpace) -> bool:
-    return all(
-        S.dist[i][j] == 1 or S.dist[i][j] == 2
-        for i in range(S.n)
-        for j in range(i + 1, S.n)
-    )
+    return first_non_one_two(S) is None
 
 
 def _require_one_two(S: MetricSpace) -> None:
-    for i in range(S.n):
-        for j in range(i + 1, S.n):
-            if S.dist[i][j] != 1 and S.dist[i][j] != 2:
-                raise NotOneTwoSpace(i, j)
+    pair = first_non_one_two(S)
+    if pair is not None:
+        raise NotOneTwoSpace(*pair)
 
 
 def graph_to_space(S_or_G: Graph) -> MetricSpace:
@@ -250,10 +262,6 @@ def one_two_correspondence(direction: str, value) -> MetricSpace | Graph:
     raise BadParams(f"unknown direction {direction!r}")
 
 
-def _twin_adj(S: MetricSpace) -> tuple[int, ...]:
-    return space_to_graph(S).adj
-
-
 def are_twins(S: MetricSpace, u: int, v: int) -> bool:
     """d(u,v) = 2 and u, v agree with every other point."""
     for p in (u, v):
@@ -271,8 +279,7 @@ def are_twins(S: MetricSpace, u: int, v: int) -> bool:
 
 def find_twins(S: MetricSpace) -> frozenset[tuple[int, int]]:
     """All twin pairs, each as (u, v) with u < v."""
-    _require_one_two(S)
-    adj = _twin_adj(S)
+    adj = space_to_graph(S).adj
     out = set()
     for u in range(S.n):
         for v in range(u + 1, S.n):
@@ -365,22 +372,7 @@ def distinct_line_case(
         u1, u2, u3 = points
         applies = d[u1][u2] == 2 and d[u2][u3] == 2
         pair_a, pair_b = (u1, u2), (u2, u3)
-    adj = _twin_adj(S)
-    la = _onetwo_line_mask(adj, *pair_a)
-    lb = _onetwo_line_mask(adj, *pair_b)
-    return applies, la != lb
-
-
-def _onetwo_line_mask(adj: Sequence[int], u: int, v: int) -> int:
-    """Bitmask of the line of u, v in the 1-2 space with adjacency adj.
-
-    When d(u,v) = 1 the line is everything at odd adjacency parity with the
-    pair (the XOR of the rows, which contains u and v themselves); when
-    d(u,v) = 2 it is the pair plus their common neighbors.
-    """
-    if adj[u] >> v & 1:
-        return adj[u] ^ adj[v]
-    return (adj[u] & adj[v]) | (1 << u) | (1 << v)
+    return applies, line_of(S, *pair_a).points != line_of(S, *pair_b).points
 
 
 def onetwo_line_masks(n: int, adj: Sequence[int]) -> list[int]:
@@ -398,29 +390,11 @@ def onetwo_line_masks(n: int, adj: Sequence[int]) -> list[int]:
     return out
 
 
-def int_metric_line_masks(n: int, rows: Sequence[Sequence[int]]) -> list[int]:
-    """Line bitmasks for an integer-distance metric, one per pair u < v."""
-    out = []
-    for u in range(n):
-        du = rows[u]
-        base = (1 << u)
-        for v in range(u + 1, n):
-            dv = rows[v]
-            duv = du[v]
-            mask = base | (1 << v)
-            for w in range(n):
-                if w == u or w == v:
-                    continue
-                a, b = du[w], dv[w]
-                if a + b == duv or a + duv == b or b + duv == a:
-                    mask |= 1 << w
-            out.append(mask)
-    return out
-
-
 def onetwo_line_family(G: Graph) -> LineFamily:
-    """Line family of the 1-2 space of G, via the exact generic path."""
-    return line_family(graph_to_space(G))
+    """Line family of the 1-2 space of G, from its XOR/AND line masks."""
+    if G.n < 2:
+        raise TooFewPoints(G.n, 2)
+    return family_from_masks(G.n, onetwo_line_masks(G.n, G.adj))
 
 
 def max_clique_size(n: int, adj: Sequence[int], candidates: int | None = None) -> int:

@@ -1,8 +1,10 @@
 """Finite metric spaces and the lines their betweenness relation induces.
 
-Points are 0..n-1.  All distances are exact rationals (fractions.Fraction),
-and betweenness means exact equality d(a,b) + d(b,c) == d(a,c); nothing here
-ever goes through floats.
+Points are 0..n-1.  Distances are exact rationals (fractions.Fraction).
+Betweenness, d(a,b) + d(b,c) == d(a,c), does not change when every distance
+is multiplied by the lcm of the denominators, so it is decided exactly, with
+no floats, on that integer table.  int_metric_line_masks turns the table
+into one line bitmask per pair, and family_from_masks groups the masks.
 
 A line is identified by its point set alone.  The generating pairs are kept
 as metadata because reports want them, but two pairs generating the same set
@@ -11,9 +13,11 @@ give one line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import add
 from typing import Sequence
 
 from .errors import (
@@ -27,15 +31,28 @@ from .errors import (
     TriangleViolation,
 )
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class MetricSpace:
-    """A validated finite metric space with exact rational distances."""
+    """A validated finite metric space with exact rational distances.
+
+    scaled is dist times scale, the lcm of its denominators; both derive
+    from dist and take no part in equality or hashing.
+    """
 
     n: int
     dist: tuple[tuple[Fraction, ...], ...]
+    scale: int = field(init=False, repr=False, compare=False)
+    scaled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scale = lcm(*{x.denominator for row in self.dist for x in row})
+        scaled = tuple(
+            tuple(x.numerator * (scale // x.denominator) for x in row)
+            for row in self.dist
+        )
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scaled", scaled)
 
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
@@ -104,32 +121,32 @@ def validate_metric(rows: Sequence[Sequence[Fraction | int | str]]) -> MetricSpa
     n = len(rows)
     if n < 1:
         raise TooFewPoints(n, 1)
-    dist: list[list[Fraction]] = []
+    table = []
     for i, row in enumerate(rows):
         if len(row) != n:
             raise BadParams(f"row {i} has {len(row)} entries, expected {n}")
-        dist.append([Fraction(x) for x in row])
+        table.append(tuple(x if type(x) is Fraction else Fraction(x) for x in row))
+    S = MetricSpace(n, tuple(table))
+    D = S.scaled
     for i in range(n):
-        if dist[i][i] != 0:
+        Di = D[i]
+        if Di[i] != 0:
             raise NonzeroDiagonal(i)
         for j in range(i + 1, n):
-            if dist[i][j] != dist[j][i]:
+            if Di[j] != D[j][i]:
                 raise AsymmetryError(i, j)
-            if dist[i][j] <= 0:
+            if Di[j] <= 0:
                 raise NonpositiveDistance(i, j)
+    # k = i and k = j give d(i,j) itself, so the minimum over all k falls
+    # below d(i,j) exactly when some other k violates the inequality
     for i in range(n):
+        Di = D[i]
         for j in range(i + 1, n):
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if dist[i][j] > dist[i][k] + dist[k][j]:
-                    raise TriangleViolation(i, j, k)
-    return MetricSpace(n, tuple(tuple(r) for r in dist))
-
-
-def metric_from_ints(rows: Sequence[Sequence[int]]) -> MetricSpace:
-    """Shorthand for validate_metric on an integer table."""
-    return validate_metric(rows)
+            dij = Di[j]
+            if min(map(add, Di, D[j])) < dij:
+                k = next(k for k in range(n) if Di[k] + D[k][j] < dij)
+                raise TriangleViolation(i, j, k)
+    return S
 
 
 def _check_point(S: MetricSpace, p: int) -> None:
@@ -150,7 +167,42 @@ def between(S: MetricSpace, a: int, b: int, c: int) -> bool:
         _check_point(S, p)
     if a == b or b == c or a == c:
         return False
-    return S.dist[a][b] + S.dist[b][c] == S.dist[a][c]
+    D = S.scaled
+    return D[a][b] + D[b][c] == D[a][c]
+
+
+def _pair_mask(du: Sequence[int], dv: Sequence[int], duv: int) -> int:
+    """Line of u, v from their distance rows; u and v pass the test themselves."""
+    mask = 0
+    for w, a, b in zip(range(len(du)), du, dv):
+        if a + b == duv or a + duv == b or b + duv == a:
+            mask |= 1 << w
+    return mask
+
+
+def int_metric_line_masks(n: int, rows: Sequence[Sequence[int]]) -> list[int]:
+    """Line bitmasks for an integer-distance metric, one per pair u < v."""
+    return [_pair_mask(rows[u], rows[v], rows[u][v]) for u, v in combinations(range(n), 2)]
+
+
+def mask_points(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending."""
+    pts = []
+    while mask:
+        low = mask & -mask
+        pts.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(pts)
+
+
+def family_from_masks(n: int, masks: Sequence[int]) -> LineFamily:
+    """Group per-pair line masks, pairs u < v in lexicographic order, into lines."""
+    by_mask: dict[int, list[tuple[int, int]]] = {}
+    for pair, mask in zip(combinations(range(n), 2), masks):
+        by_mask.setdefault(mask, []).append(pair)
+    keyed = sorted((mask_points(mask), gens) for mask, gens in by_mask.items())
+    lines = tuple(Line(frozenset(pts), frozenset(gens)) for pts, gens in keyed)
+    return LineFamily(n, lines, len(masks))
 
 
 def line_of(S: MetricSpace, u: int, v: int) -> Line:
@@ -160,43 +212,27 @@ def line_of(S: MetricSpace, u: int, v: int) -> Line:
     p with [uvp].
     """
     _check_pair(S, u, v)
-    d = S.dist
-    duv = d[u][v]
-    pts = {u, v}
-    for p in range(S.n):
-        if p == u or p == v:
-            continue
-        dpu, dpv = d[p][u], d[p][v]
-        if dpu + duv == dpv or dpu + dpv == duv or duv + dpv == dpu:
-            pts.add(p)
+    D = S.scaled
+    mask = _pair_mask(D[u], D[v], D[u][v])
     key = (u, v) if u < v else (v, u)
-    return Line(frozenset(pts), frozenset({key}))
+    return Line(frozenset(mask_points(mask)), frozenset({key}))
 
 
 def line_family(S: MetricSpace) -> LineFamily:
     """Every distinct line of S, one per distinct point set."""
     if S.n < 2:
         raise TooFewPoints(S.n, 2)
-    by_points: dict[frozenset[int], set[tuple[int, int]]] = {}
-    pair_count = 0
-    for u, v in combinations(range(S.n), 2):
-        pair_count += 1
-        ln = line_of(S, u, v)
-        by_points.setdefault(ln.points, set()).update(ln.generators)
-    lines = tuple(
-        Line(pts, frozenset(gens))
-        for pts, gens in sorted(by_points.items(), key=lambda kv: tuple(sorted(kv[0])))
-    )
-    return LineFamily(S.n, lines, pair_count)
+    return family_from_masks(S.n, int_metric_line_masks(S.n, S.scaled))
 
 
 def extremes(S: MetricSpace) -> tuple[Fraction, Fraction, Fraction]:
     """(smallest distance, largest distance, their ratio) over distinct pairs."""
     if S.n < 2:
         raise TooFewPoints(S.n, 2)
-    vals = [S.dist[i][j] for i, j in combinations(range(S.n), 2)]
-    lo, hi = min(vals), max(vals)
-    return lo, hi, hi / lo
+    upper = [row[i + 1 :] for i, row in enumerate(S.scaled[:-1])]
+    lo = min(map(min, upper))
+    hi = max(map(max, upper))
+    return Fraction(lo, S.scale), Fraction(hi, S.scale), Fraction(hi, lo)
 
 
 def uniform_space(n: int, c: Fraction | int = 1) -> MetricSpace:

@@ -17,7 +17,7 @@ from .enumeration import MAX_GRAPH_N, MAX_TRIPLES_N, enum_graphs, enum_triple_sy
 from .errors import BadParams, EmptyUniverse, SizeCap
 from .fileio import dump_graph, dump_triples
 from .graphs import Graph, graph_dist_rows, int_metric_line_masks, onetwo_line_masks
-from .triples import TripleSystem
+from .triples import TripleSystem, triple_line_masks
 
 UNIVERSES = ("hypergraphs", "one_two", "graph_metrics")
 
@@ -86,22 +86,6 @@ class ScanReport:
         if include_timing:
             out["elapsed_ms"] = int(self.elapsed * 1000)
         return out
-
-
-def triple_line_masks(T: TripleSystem) -> list[int]:
-    """Point-set bitmask of every hyperline, one entry per vertex pair."""
-    n = T.n
-    masks = []
-    index = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            index[(u, v)] = len(masks)
-            masks.append((1 << u) | (1 << v))
-    for a, b, c in T.sorted_edges():
-        masks[index[(a, b)]] |= 1 << c
-        masks[index[(a, c)]] |= 1 << b
-        masks[index[(b, c)]] |= 1 << a
-    return masks
 
 
 def _instance_masks(universe: str, instance) -> list[int]:

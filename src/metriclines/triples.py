@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BadParams, DegeneratePair, IndexOutOfRange, TooFewPoints, XInsideT
-from .metric import Line, LineFamily, MetricSpace, between
+from .metric import Line, LineFamily, MetricSpace, family_from_masks, int_metric_line_masks, mask_points
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,18 @@ def triple_system(n: int, edges) -> TripleSystem:
 
 
 def betweenness_triples(S: MetricSpace) -> TripleSystem:
-    """The triples {a,b,c} of S in which some point lies between the others."""
+    """The triples {a,b,c} of S in which some point lies between the others.
+
+    These are the a < b < c with c on the line of a, b.
+    """
     if S.n < 3:
         raise TooFewPoints(S.n, 3)
-    edges = set()
-    for a, b, c in combinations(range(S.n), 3):
-        if between(S, a, b, c) or between(S, b, a, c) or between(S, a, c, b):
-            edges.add((a, b, c))
+    pairs = combinations(range(S.n), 2)
+    edges = [
+        (a, b, c)
+        for (a, b), mask in zip(pairs, int_metric_line_masks(S.n, S.scaled))
+        for c in mask_points(mask >> (b + 1) << (b + 1))
+    ]
     return TripleSystem(S.n, frozenset(edges))
 
 
@@ -69,26 +74,25 @@ def _check_pair(T: TripleSystem, u: int, v: int) -> None:
 def hyper_line(T: TripleSystem, u: int, v: int) -> Line:
     """u, v, and every w such that {u,v,w} is an edge."""
     _check_pair(T, u, v)
-    pts = {u, v}
-    for w in range(T.n):
-        if w != u and w != v and T.has_edge(u, v, w):
-            pts.add(w)
+    pts = {u, v} | {w for w in range(T.n) if T.has_edge(u, v, w)}
     key = (u, v) if u < v else (v, u)
     return Line(frozenset(pts), frozenset({key}))
 
 
+def triple_line_masks(T: TripleSystem) -> list[int]:
+    """Point-set bitmask of every hyperline, one entry per vertex pair u < v."""
+    pairs = list(combinations(range(T.n), 2))
+    index = {pair: k for k, pair in enumerate(pairs)}
+    masks = [(1 << u) | (1 << v) for u, v in pairs]
+    for a, b, c in T.edges:
+        masks[index[(a, b)]] |= 1 << c
+        masks[index[(a, c)]] |= 1 << b
+        masks[index[(b, c)]] |= 1 << a
+    return masks
+
+
 def hyper_line_family(T: TripleSystem) -> LineFamily:
-    by_points: dict[frozenset[int], set[tuple[int, int]]] = {}
-    pair_count = 0
-    for u, v in combinations(range(T.n), 2):
-        pair_count += 1
-        ln = hyper_line(T, u, v)
-        by_points.setdefault(ln.points, set()).update(ln.generators)
-    lines = tuple(
-        Line(pts, frozenset(gens))
-        for pts, gens in sorted(by_points.items(), key=lambda kv: tuple(sorted(kv[0])))
-    )
-    return LineFamily(T.n, lines, pair_count)
+    return family_from_masks(T.n, triple_line_masks(T))
 
 
 def vertex_signatures(T: TripleSystem) -> tuple[dict[int, frozenset[int]], bool]:

@@ -9,27 +9,33 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from metriclines import MetricSpace, validate_metric
+from metriclines import (
+    AsymmetryError,
+    BadParams,
+    MetricSpace,
+    NonpositiveDistance,
+    NonzeroDiagonal,
+    TooFewPoints,
+    TriangleViolation,
+    validate_metric,
+)
+
+
+def oracle_line(dist, u: int, v: int) -> frozenset[int]:
+    """The line of the pair u, v, straight from the definition."""
+    return frozenset(
+        p
+        for p in range(len(dist))
+        if p in (u, v)
+        or dist[p][u] + dist[u][v] == dist[p][v]
+        or dist[u][p] + dist[p][v] == dist[u][v]
+        or dist[u][v] + dist[v][p] == dist[u][p]
+    )
 
 
 def oracle_line_sets(dist) -> set[frozenset[int]]:
     """Distinct lines of a distance matrix, straight from the definition."""
-    n = len(dist)
-    sets = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            pts = {u, v}
-            for p in range(n):
-                if p == u or p == v:
-                    continue
-                if (
-                    dist[p][u] + dist[u][v] == dist[p][v]
-                    or dist[u][p] + dist[p][v] == dist[u][v]
-                    or dist[u][v] + dist[v][p] == dist[u][p]
-                ):
-                    pts.add(p)
-            sets.add(frozenset(pts))
-    return sets
+    return {oracle_line(dist, u, v) for u, v in itertools.combinations(range(len(dist)), 2)}
 
 
 def oracle_triples(dist) -> set[tuple[int, int, int]]:
@@ -44,6 +50,33 @@ def oracle_triples(dist) -> set[tuple[int, int, int]]:
         ):
             out.add((a, b, c))
     return out
+
+
+def oracle_validate(rows) -> None:
+    """The metric axioms checked in Fractions, raising validate_metric's errors.
+
+    Same order: shape, then diagonal, symmetry and positivity row by row,
+    then the triangle inequality over pairs i < j and k ascending.
+    """
+    n = len(rows)
+    if n < 1:
+        raise TooFewPoints(n, 1)
+    if any(len(row) != n for row in rows):
+        raise BadParams("ragged table")
+    d = [[Fraction(x) for x in row] for row in rows]
+    for i in range(n):
+        if d[i][i] != 0:
+            raise NonzeroDiagonal(i)
+        for j in range(i + 1, n):
+            if d[i][j] != d[j][i]:
+                raise AsymmetryError(i, j)
+            if d[i][j] <= 0:
+                raise NonpositiveDistance(i, j)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if k != i and k != j and d[i][j] > d[i][k] + d[k][j]:
+                    raise TriangleViolation(i, j, k)
 
 
 def floyd_closure(rows):

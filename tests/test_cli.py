@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -252,6 +253,15 @@ class TestMetrizableVerb:
         assert doc["assignments_tried"] == 2
         assert doc["best_margin"] == "1/3"
         assert doc["witness"].startswith("4\n")
+
+    def test_oversized_system_fails_fast(self, tmp_path, capsys):
+        # 12 disjoint triples on 36 points: one LP alone ran for minutes
+        p = tmp_path / "disjoint.txt"
+        p.write_text("36 12\n" + "".join(f"{3 * i} {3 * i + 1} {3 * i + 2}\n" for i in range(12)))
+        t0 = time.perf_counter()
+        assert run_main("metrizable", str(p)) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "capped at n <= 10" in capsys.readouterr().err
 
     def test_infeasible_output(self, tmp_path, capsys, monkeypatch):
         p = tmp_path / "k34.txt"

@@ -10,6 +10,7 @@ import pytest
 
 from metriclines import (
     BadParams,
+    SizeCap,
     TooFewPoints,
     TooManyAssignments,
     betweenness_triples,
@@ -20,7 +21,7 @@ from metriclines import (
     triple_system,
 )
 from metriclines.extremal import pentagon
-from metriclines.feasibility import _automorphisms, _Problem, _scan
+from metriclines.feasibility import MAX_METRIZABLE_N, _automorphisms, _Problem, _scan
 
 
 class TestSmallDecisions:
@@ -113,6 +114,23 @@ class TestValidation:
         # a raised budget admits the instance (no assertion on the verdict)
         res = metrizable(triple_system(4, [(0, 1, 2)]), max_edges=1)
         assert res.metrizable
+
+
+class TestSizeCap:
+    def test_oversized_system_fails_before_any_lp(self):
+        # 12 disjoint triples on 36 points: one LP alone ran for minutes
+        T = triple_system(36, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(12)])
+        t0 = time.perf_counter()
+        with pytest.raises(SizeCap):
+            metrizable(T)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_cap_admits_its_own_size(self):
+        assert MAX_METRIZABLE_N >= 7  # Fano and every system of the tests
+        res = metrizable(triple_system(MAX_METRIZABLE_N, [(0, 1, 2)]))
+        assert res.metrizable and res.assignments_tried == 1
+        with pytest.raises(SizeCap):
+            metrizable(triple_system(MAX_METRIZABLE_N + 1, [(0, 1, 2)]))
 
 
 def scans(T):

@@ -1,0 +1,88 @@
+"""Golden outputs: the CLI's canonical JSON on a small fixed corpus.
+
+Each case runs one verb under ``--format json`` on an input file from
+``tests/golden/inputs`` and compares stdout byte for byte with
+``tests/golden/<case>.json``.  A case that exits nonzero also compares
+stderr with ``tests/golden/<case>.stderr``.  The files were written once
+and are not regenerated by the tests, so any change in a line family, a
+triple list, a bound report or a metrizability verdict shows up here.
+
+To rewrite the files after a deliberate output change, run
+``PYTHONPATH=src python tests/test_golden.py --write``.
+"""
+
+from __future__ import annotations
+
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from metriclines.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+METRICS = ("pentagon", "groups_3_3", "rational12", "path6_metric", "cycle7_metric")
+GRAPHS = ("path6", "cycle7")
+SYSTEMS = ("triples3",)
+
+# (case name, argv after --format json, input file, expected exit code)
+CASES = (
+    *((f"lines-{m}", ["lines"], m, 0) for m in METRICS),
+    *((f"triples-{m}", ["triples"], m, 0) for m in METRICS),
+    *((f"range-{m}", ["check", "range"], m, 0) for m in METRICS),
+    ("onetwo_lower-pentagon", ["check", "onetwo_lower"], "pentagon", 0),
+    ("onetwo_lower-groups_3_3", ["check", "onetwo_lower"], "groups_3_3", 0),
+    ("onetwo_lower-rational12", ["check", "onetwo_lower"], "rational12", 3),
+    ("onetwo_lower-cycle7_metric", ["check", "onetwo_lower"], "cycle7_metric", 3),
+    *((f"diam-{g}", ["check", "diam"], g, 3 if g == "path6" else 0) for g in GRAPHS),
+    *(
+        (f"graphs_corollary-{g}", ["check", "graphs_corollary"], g, 3 if g == "path6" else 0)
+        for g in GRAPHS
+    ),
+    *((f"hyperlines-{s}", ["hyperlines"], s, 0) for s in SYSTEMS),
+    *((f"metrizable-{s}", ["metrizable"], s, 0) for s in SYSTEMS),
+)
+
+
+def run_case(argv, name):
+    """Exit code, stdout and stderr of one CLI call on an input file."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["--format", "json", *argv, str(INPUTS / f"{name}.txt")])
+    # the input path appears in error messages; keep goldens free of it
+    return code, out.getvalue(), err.getvalue().replace(str(INPUTS), "<inputs>")
+
+
+@pytest.mark.parametrize("case,argv,name,code", CASES, ids=[c[0] for c in CASES])
+def test_golden_output(case, argv, name, code):
+    got_code, out, err = run_case(argv, name)
+    assert got_code == code
+    assert out == (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
+    stderr_file = GOLDEN / f"{case}.stderr"
+    if code:
+        assert err == stderr_file.read_text(encoding="utf-8")
+    else:
+        assert err == "" and not stderr_file.exists()
+
+
+def _write_all() -> None:
+    """Rewrite every golden file from the current program."""
+    for case, argv, name, _ in CASES:
+        code, out, err = run_case(argv, name)
+        (GOLDEN / f"{case}.json").write_text(out, encoding="utf-8")
+        stderr_file = GOLDEN / f"{case}.stderr"
+        if code:
+            stderr_file.write_text(err, encoding="utf-8")
+        elif stderr_file.exists():
+            stderr_file.unlink()
+        print(f"{case}: exit {code}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_golden.py --write")
+    _write_all()

@@ -18,7 +18,6 @@ from metriclines import (
     extremes,
     line_family,
     line_of,
-    metric_from_ints,
     uniform_space,
     validate_metric,
 )
@@ -26,7 +25,7 @@ from helpers import oracle_line_sets, random_int_space, random_rational_space
 
 
 def path_space(n):
-    return metric_from_ints(
+    return validate_metric(
         [[abs(i - j) for j in range(n)] for i in range(n)]
     )
 
