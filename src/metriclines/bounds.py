@@ -106,27 +106,16 @@ class PowerBound:
         return lo, hi
 
 
-def _as_positive_int(value: object, name: str) -> int:
+def _as_int(value: object, name: str, least: int) -> int:
+    """value as an int no smaller than least, which is 0 or 1."""
     if isinstance(value, Fraction):
         if value.denominator != 1:
             raise BadParams(f"{name} must be an integer, got {value}")
         value = value.numerator
     if not isinstance(value, int) or isinstance(value, bool):
         raise BadParams(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise BadParams(f"{name} must be positive, got {value}")
-    return value
-
-
-def _as_nonnegative_int(value: object, name: str) -> int:
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise BadParams(f"{name} must be an integer, got {value}")
-        value = value.numerator
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise BadParams(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise BadParams(f"{name} must be nonnegative, got {value}")
+    if value < least:
+        raise BadParams(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
     return value
 
 
@@ -153,24 +142,24 @@ def power_bound(bound_id: str, params: dict) -> PowerBound:
                            = (27*x**4/32)**(1/3) - x/2
     """
     if bound_id == "sparse_lemma":
-        t = _as_nonnegative_int(params["t"], "t")
+        t = _as_int(params["t"], "t", 0)
         return PowerBound(Fraction(t * t, 16), 3)
     if bound_id == "range":
-        n = _as_positive_int(params["n"], "n")
+        n = _as_int(params["n"], "n", 1)
         rho = _as_positive_fraction(params["rho"], "rho")
         return PowerBound((Fraction(n) / rho) ** 2 / 64, 3)
     if bound_id == "diam":
-        t = _as_nonnegative_int(params["t"], "t")
+        t = _as_int(params["t"], "t", 0)
         return PowerBound(Fraction(t, 2), 2)
     if bound_id == "graphs_corollary":
-        n = _as_positive_int(params["n"], "n")
+        n = _as_int(params["n"], "n", 1)
         return PowerBound(Fraction(n * n, 256), 7)
     if bound_id == "onetwo_lower":
-        n = _as_positive_int(params["n"], "n")
+        n = _as_int(params["n"], "n", 1)
         return PowerBound(Fraction(n ** 4, 128), 3)
     if bound_id == "turan_clique":
-        x2 = _as_positive_int(params["x2"], "x2")
-        e2 = _as_nonnegative_int(params["e2"], "e2")
+        x2 = _as_int(params["x2"], "x2", 1)
+        e2 = _as_int(params["e2"], "e2", 0)
         return PowerBound(Fraction(x2 * x2, 2 * e2 + x2), 1)
     if bound_id == "calculus":
         x = _as_positive_fraction(params["x"], "x")

@@ -19,6 +19,7 @@ from .triples import TripleSystem
 
 _TOKEN = re.compile(r"\S+")
 _RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_INT = re.compile(r"[+-]?\d+")
 
 
 def format_rational(q: Fraction) -> str:
@@ -50,7 +51,7 @@ def _lines_with_tokens(text: str) -> list[tuple[int, list[tuple[int, str]]]]:
 
 
 def _parse_int(source: str, lineno: int, col: int, token: str, what: str) -> int:
-    if not re.match(r"^[+-]?\d+$", token):
+    if not _INT.fullmatch(token):
         raise ParseError(source, lineno, col, f"{what} must be an integer, got {token!r}")
     return int(token)
 

@@ -23,7 +23,7 @@ UNIVERSES = ("hypergraphs", "one_two", "graph_metrics")
 
 _CAPS = {
     "hypergraphs": MAX_TRIPLES_N,
-    "one_two": 7,
+    "one_two": MAX_GRAPH_N,
     "graph_metrics": MAX_GRAPH_N,
 }
 

@@ -28,9 +28,11 @@ class TripleSystem:
             raise TooFewPoints(self.n, 1)
         canon = set()
         for e in self.edges:
-            t = tuple(sorted(e))
-            if len(t) != 3 or len(set(t)) != 3:
-                raise BadParams(f"not a triple: {e}")
+            t = e  # parsed and generated edges come sorted already
+            if not (type(e) is tuple and len(e) == 3 and e[0] < e[1] < e[2]):
+                t = tuple(sorted(e))
+                if len(t) != 3 or len(set(t)) != 3:
+                    raise BadParams(f"not a triple: {e}")
             if not (0 <= t[0] and t[2] < self.n):
                 raise BadParams(f"triple {e} out of range for n={self.n}")
             canon.add(t)

@@ -2,12 +2,16 @@
 
 Everything here is written directly from the definitions, independently of
 the package internals, so the tests compare two routes to the same answer.
+The one exception is the generate-and-dedup enumerator at the end, which
+canonicalizes through the package's full placement search: it is the slow
+route that orderly generation replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from metriclines import (
     AsymmetryError,
@@ -18,6 +22,12 @@ from metriclines import (
     TooFewPoints,
     TriangleViolation,
     validate_metric,
+)
+from metriclines.enumeration import (
+    canonical_graph_cols,
+    canonical_triples_cols,
+    graph_from_cols,
+    triples_from_cols,
 )
 
 
@@ -124,3 +134,38 @@ def labeled_graph_rows(n):
                 rows[i][j] = rows[j][i] = 1
         yield rows
 
+
+
+# Generate-and-dedup enumeration, the slow reference for orderly generation:
+# extend every class on n - 1 points by a new point in every possible way,
+# canonicalize each result by full minimization, and sort the distinct forms.
+
+
+@lru_cache(maxsize=None)
+def dedup_graph_classes(n: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical column tuples of all graphs on n vertices."""
+    if n == 1:
+        return ((),)
+    found = set()
+    for cols in dedup_graph_classes(n - 1):
+        base = graph_from_cols(n - 1, cols).adj
+        for nb in range(1 << (n - 1)):
+            adj = [row | ((nb >> u & 1) << (n - 1)) for u, row in enumerate(base)]
+            adj.append(nb)
+            found.add(canonical_graph_cols(n, adj))
+    return tuple(sorted(found))
+
+
+@lru_cache(maxsize=None)
+def dedup_triple_classes(n: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical column tuples of all 3-uniform hypergraphs on n vertices."""
+    if n <= 2:
+        return ((),)
+    pair_list = list(itertools.combinations(range(n - 1), 2))
+    found = set()
+    for cols in dedup_triple_classes(n - 1):
+        base = triples_from_cols(n - 1, cols).edges
+        for sub in range(1 << len(pair_list)):
+            new = {(i, j, n - 1) for t, (i, j) in enumerate(pair_list) if sub >> t & 1}
+            found.add(canonical_triples_cols(n, base | new))
+    return tuple(sorted(found))

@@ -146,6 +146,30 @@ class TestNamedBounds:
         with pytest.raises(BadParams):
             power_bound("no_such_bound", {})
 
+    @pytest.mark.parametrize(
+        "bound_id,params,message",
+        [
+            ("range", {"n": 0, "rho": 1}, "n must be positive, got 0"),
+            ("graphs_corollary", {"n": Fraction(-4, 2)}, "n must be positive, got -2"),
+            ("diam", {"t": -1}, "t must be nonnegative, got -1"),
+            ("turan_clique", {"x2": 2, "e2": -3}, "e2 must be nonnegative, got -3"),
+            ("turan_clique", {"x2": Fraction(1, 2), "e2": 1}, "x2 must be an integer, got 1/2"),
+            ("sparse_lemma", {"t": 1.0}, "t must be an integer, got 1.0"),
+            ("onetwo_lower", {"n": True}, "n must be an integer, got True"),
+            ("diam", {"t": "3"}, "t must be an integer, got '3'"),
+        ],
+    )
+    def test_integer_parameter_messages(self, bound_id, params, message):
+        with pytest.raises(BadParams) as info:
+            power_bound(bound_id, params)
+        assert str(info.value) == message
+
+    def test_integer_parameters_accept_integral_fractions(self):
+        assert power_bound("diam", {"t": Fraction(0)}) == PowerBound(Fraction(0), 2)
+        assert power_bound("onetwo_lower", {"n": Fraction(6, 3)}) == power_bound(
+            "onetwo_lower", {"n": 2}
+        )
+
     def test_missing_param_is_key_error(self):
         with pytest.raises(KeyError):
             power_bound("diam", {})

@@ -199,6 +199,11 @@ class TestSearchVerb:
         assert run_main("search", "hypergraphs", "7") == 2
         assert "error" in capsys.readouterr().err
 
+    def test_one_two_cap_is_graph_cap(self, capsys):
+        assert run_main("search", "one_two", "9") == 2
+        err = capsys.readouterr().err
+        assert "universe one_two is capped at n <= 8, got 9" in err
+
 
 class TestScanVerb:
     def test_clean_scan(self, tmp_path, capsys):

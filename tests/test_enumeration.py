@@ -15,6 +15,8 @@ from metriclines import (
     enum_triple_systems,
 )
 from metriclines.enumeration import (
+    _graph_classes,
+    _triple_classes,
     canonical_graph_cols,
     canonical_triples_cols,
     graph_from_cols,
@@ -23,19 +25,19 @@ from metriclines.enumeration import (
 
 import helpers
 
-# class counts for graphs on n vertices, n = 1..6
-GRAPH_COUNTS = [1, 2, 4, 11, 34, 156]
-CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112]
+# class counts for graphs on n vertices, n = 1..8 (OEIS A000088, A001349)
+GRAPH_COUNTS = [1, 2, 4, 11, 34, 156, 1044, 12346]
+CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 # class counts for 3-uniform hypergraphs, n = 3..5 (n = 6 tested separately)
 TRIPLE_COUNTS = {3: 2, 4: 5, 5: 34}
 
 
 class TestGraphCounts:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_all_graphs(self, n):
         assert len(enum_graphs(n)) == GRAPH_COUNTS[n - 1]
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_connected_graphs(self, n):
         assert len(enum_graphs(n, connected=True)) == CONNECTED_COUNTS[n - 1]
 
@@ -59,7 +61,7 @@ class TestTripleCounts:
         assert len(enum_triple_systems(n)) == TRIPLE_COUNTS[n]
 
     def test_count_n6(self):
-        # the largest supported size; this one takes a while
+        # the largest supported size; orderly generation takes a few seconds
         assert len(enum_triple_systems(6)) == 2136
 
     def test_labeled_dedup_matches(self):
@@ -72,6 +74,33 @@ class TestTripleCounts:
         assert forms == {
             canonical_triples_cols(4, T.edges) for T in enum_triple_systems(4)
         }
+
+
+class TestOrderlyGeneration:
+    """The orderly generator against generate-and-dedup and the atlas."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_graph_classes_match_dedup(self, n):
+        assert _graph_classes(n) == helpers.dedup_graph_classes(n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_triple_classes_match_dedup(self, n):
+        assert _triple_classes(n) == helpers.dedup_triple_classes(n)
+
+    def test_atlas_bijection(self):
+        import networkx as nx
+
+        # graph_atlas_g() lists every graph on 0..7 vertices once up to isomorphism
+        forms = {n: [] for n in range(1, 8)}
+        for H in nx.graph_atlas_g()[1:]:
+            n = H.number_of_nodes()
+            adj = [sum(1 << v for v in H[u]) for u in range(n)]
+            forms[n].append(canonical_graph_cols(n, adj))
+        for n in range(1, 8):
+            assert len(set(forms[n])) == len(forms[n])
+            assert sorted(forms[n]) == [
+                canonical_graph_cols(n, G.adj) for G in enum_graphs(n)
+            ]
 
 
 class TestCanonicalForms:

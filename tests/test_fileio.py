@@ -8,6 +8,7 @@ import pytest
 from metriclines import (
     BadParams,
     ParseError,
+    TripleSystem,
     dump_graph,
     dump_metric,
     dump_triples,
@@ -107,3 +108,69 @@ class TestEdgeListFiles:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             load_graph_text("")
+
+
+class TestIntegerTokens:
+    """Which vertex and header tokens parse, and the exact errors of the rest."""
+
+    @pytest.mark.parametrize(
+        "token,value",
+        [("3", 3), ("+3", 3), ("03", 3), ("٣", 3), ("３", 3), ("+٣", 3)],
+    )
+    def test_accepted_vertex_tokens(self, token, value):
+        T = load_triples_text(f"5 1\n0 1 {token}\n")
+        assert T.edges == frozenset({(0, 1, value)})
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("5 1\n0 1 1_0\n", "t.txt:2:5: vertex must be an integer, got '1_0'"),
+            ("5 1\n0 1 3.0\n", "t.txt:2:5: vertex must be an integer, got '3.0'"),
+            ("5 1\n0 1 ++3\n", "t.txt:2:5: vertex must be an integer, got '++3'"),
+            ("5 1\n0 1 0x3\n", "t.txt:2:5: vertex must be an integer, got '0x3'"),
+            ("5 1\n-1 1 3\n", "t.txt:2:1: vertex -1 out of range for n=5"),
+            ("5 1\n0 1 5\n", "t.txt:2:5: vertex 5 out of range for n=5"),
+            ("5 1\n0 2 1\n", "t.txt:2:1: triple must be strictly increasing: 0 2 1"),
+            ("5 1\n0 1 +1\n", "t.txt:2:1: triple must be strictly increasing: 0 1 +1"),
+            ("5 2\n0 1 2\n0 1 +2\n", "t.txt:3:1: duplicate triple: 0 1 +2"),
+            ("5 1\n0 1\n", "t.txt:2:4: expected 3 vertices, found 2"),
+            ("x 1\n0 1 2\n", "t.txt:1:1: n must be an integer, got 'x'"),
+            ("5 1_0\n0 1 2\n", "t.txt:1:3: m must be an integer, got '1_0'"),
+            ("-5 1\n0 1 2\n", "t.txt:1:1: n and m must be nonnegative"),
+            ("0 0\n", "t.txt:1:1: n must be at least 1, got 0"),
+        ],
+    )
+    def test_rejected_triples_files(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            load_triples_text(text, source="t.txt")
+        assert str(exc.value) == message
+
+    def test_graph_vertices_share_the_rules(self):
+        assert load_graph_text("3 1\n+0 ٢\n").adj == (4, 0, 1)
+        with pytest.raises(ParseError) as exc:
+            load_graph_text("3 1\n0 1_0\n", source="g.txt")
+        assert str(exc.value) == "g.txt:2:3: vertex must be an integer, got '1_0'"
+
+
+class TestTripleSystemEdges:
+    def test_unsorted_edges_are_sorted(self):
+        T = TripleSystem(5, frozenset({(3, 1, 0), (0, 2, 4), (1, 2, 3)}))
+        assert T.edges == frozenset({(0, 1, 3), (0, 2, 4), (1, 2, 3)})
+        assert triple_system(4, [[2, 0, 1]]).edges == frozenset({(0, 1, 2)})
+
+    @pytest.mark.parametrize(
+        "edge,message",
+        [
+            ((0, 1), "not a triple: (0, 1)"),
+            ((0, 1, 2, 3), "not a triple: (0, 1, 2, 3)"),
+            ((0, 0, 1), "not a triple: (0, 0, 1)"),
+            ((2, 1, 1), "not a triple: (2, 1, 1)"),
+            ((0, 1, 5), "triple (0, 1, 5) out of range for n=5"),
+            ((5, 1, 0), "triple (5, 1, 0) out of range for n=5"),
+            ((-1, 1, 2), "triple (-1, 1, 2) out of range for n=5"),
+        ],
+    )
+    def test_bad_edges(self, edge, message):
+        with pytest.raises(BadParams) as exc:
+            TripleSystem(5, frozenset({edge}))
+        assert str(exc.value) == message

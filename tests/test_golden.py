@@ -1,11 +1,12 @@
 """Golden outputs: the CLI's canonical JSON on a small fixed corpus.
 
-Each case runs one verb under ``--format json`` on an input file from
-``tests/golden/inputs`` and compares stdout byte for byte with
-``tests/golden/<case>.json``.  A case that exits nonzero also compares
+Each case runs one verb under ``--format json``, on an input file from
+``tests/golden/inputs`` or, for ``search`` and ``scan``, on no input at
+all, and compares stdout byte for byte with ``tests/golden/<case>.json``.  A case that exits nonzero also compares
 stderr with ``tests/golden/<case>.stderr``.  The files were written once
 and are not regenerated by the tests, so any change in a line family, a
-triple list, a bound report or a metrizability verdict shows up here.
+triple list, a bound report, a metrizability verdict or the canonical
+witness and order of an exhaustive search shows up here.
 
 To rewrite the files after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py --write``.
@@ -29,7 +30,7 @@ METRICS = ("pentagon", "groups_3_3", "rational12", "path6_metric", "cycle7_metri
 GRAPHS = ("path6", "cycle7")
 SYSTEMS = ("triples3",)
 
-# (case name, argv after --format json, input file, expected exit code)
+# (case name, argv after --format json, input file or None, expected exit code)
 CASES = (
     *((f"lines-{m}", ["lines"], m, 0) for m in METRICS),
     *((f"triples-{m}", ["triples"], m, 0) for m in METRICS),
@@ -45,14 +46,19 @@ CASES = (
     ),
     *((f"hyperlines-{s}", ["hyperlines"], s, 0) for s in SYSTEMS),
     *((f"metrizable-{s}", ["metrizable"], s, 0) for s in SYSTEMS),
+    ("scan-7", ["scan", "7"], None, 0),
+    ("search-hypergraphs-5", ["search", "hypergraphs", "5"], None, 0),
+    ("search-one_two-6", ["search", "one_two", "6"], None, 0),
+    ("search-graph_metrics-6", ["search", "graph_metrics", "6"], None, 0),
 )
 
 
 def run_case(argv, name):
-    """Exit code, stdout and stderr of one CLI call on an input file."""
+    """Exit code, stdout and stderr of one CLI call, on an input file if named."""
+    path = [] if name is None else [str(INPUTS / f"{name}.txt")]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["--format", "json", *argv, str(INPUTS / f"{name}.txt")])
+        code = main(["--format", "json", *argv, *path])
     # the input path appears in error messages; keep goldens free of it
     return code, out.getvalue(), err.getvalue().replace(str(INPUTS), "<inputs>")
 

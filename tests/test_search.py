@@ -101,7 +101,7 @@ class TestValidationAndCaps:
         with pytest.raises(SizeCap):
             min_lines("hypergraphs", 7)
         with pytest.raises(SizeCap):
-            min_lines("one_two", 8)
+            min_lines("one_two", 9)
         with pytest.raises(SizeCap):
             min_lines("graph_metrics", 9)
 
