@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the point-index checks.
 
 Everything raised on purpose derives from MetricLinesError, so callers can
 catch one base class.  Validation errors carry the offending indices as
@@ -119,3 +119,17 @@ class ParseError(MetricLinesError):
         self.source, self.line, self.column = source, line, column
         self.message = message
         super().__init__(f"{source}:{line}:{column}: {message}")
+
+
+def check_points(n: int, *points: int) -> None:
+    """Raise IndexOutOfRange for the first of points outside 0..n-1."""
+    for p in points:
+        if not 0 <= p < n:
+            raise IndexOutOfRange(p, n)
+
+
+def check_pair(n: int, u: int, v: int) -> None:
+    """check_points(n, u, v), then DegeneratePair if u == v."""
+    check_points(n, u, v)
+    if u == v:
+        raise DegeneratePair(u)

@@ -14,23 +14,18 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .bounds import PowerBound, Rational, power_bound
-from .errors import (
-    BadParams,
-    IndexOutOfRange,
-    PreconditionUnmet,
-    TooFewPoints,
-    XInsideT,
-)
+from .errors import BadParams, PreconditionUnmet, TooFewPoints, XInsideT, check_points
 from .fileio import format_rational
-from .graphs import (
-    Graph,
-    first_non_one_two,
-    graph_dist_rows,
-    graph_from_edges,
+from .graphs import Graph, first_non_one_two, graph_dist_rows, graph_from_edges, is_connected
+from .metric import (
+    MetricSpace,
+    extremes,
     int_metric_line_masks,
-    is_connected,
+    line_family,
+    line_of,
+    uniform_space,
+    validate_metric,
 )
-from .metric import MetricSpace, extremes, line_family, line_of, uniform_space, validate_metric
 from .triples import TripleSystem, hyper_line
 
 Instance = Union[MetricSpace, Graph]
@@ -43,12 +38,6 @@ CONSTRUCT_KINDS = (
     "uniform",
     "complete",
 )
-
-
-@dataclass(frozen=True)
-class BoundSpec:
-    bound_id: str
-    params: Mapping[str, Rational]
 
 
 @dataclass(frozen=True)
@@ -172,6 +161,10 @@ def construct(kind: str, *params: Rational) -> Instance:
         want(2)
         n = as_int(params[0], "n")
         c = Fraction(params[1])
+        if n < 1:
+            raise BadParams(f"need at least one point, got {n}")
+        if c <= 0:
+            raise BadParams(f"distance must be positive, got {c}")
         return uniform_space(n, c)
     if kind == "complete":
         want(1)
@@ -191,11 +184,6 @@ def predicted_group_lines(k: int, m: int) -> int:
     if m < 3:
         raise BadParams(f"need group size at least 3, got {m}")
     return k * m * (m - 1) // 2 + k * (k - 1) // 2
-
-
-def bound_value(spec: BoundSpec) -> tuple[Fraction, Fraction]:
-    """Rational sandwich [lo, hi] around the bound, hi - lo <= 2**-30."""
-    return power_bound(spec.bound_id, dict(spec.params)).sandwich()
 
 
 def check_bound(instance: Instance, bound_id: str) -> BoundReport:
@@ -260,8 +248,7 @@ def bucket_decomposition(space: MetricSpace, x: int) -> tuple[frozenset[int], in
     """
     if space.n < 2:
         raise TooFewPoints(space.n, 2)
-    if not 0 <= x < space.n:
-        raise IndexOutOfRange(x, space.n)
+    check_points(space.n, x)
     delta = extremes(space)[0]
     buckets: dict[int, list[int]] = {}
     for u in range(space.n):
@@ -289,14 +276,13 @@ def equal_line_class(
     else:
         raise BadParams("family source must be a metric space or triple system")
     n = family_source.n
-    if not 0 <= x < n:
-        raise IndexOutOfRange(x, n)
+    check_points(n, x)
     if x in tset:
         raise XInsideT(x)
+    members = sorted(tset)
+    check_points(n, *members)
     classes: dict[tuple[int, ...], list[int]] = {}
-    for v in sorted(tset):
-        if not 0 <= v < n:
-            raise IndexOutOfRange(v, n)
+    for v in members:
         classes.setdefault(line(family_source, x, v).sorted_points(), []).append(v)
     if not classes:
         return frozenset()

@@ -429,6 +429,8 @@ def metrizable(
     cap = Fraction(normalization_cap)
     if cap <= 0:
         raise BadParams("normalization_cap must be positive")
+    if max_edges < 0:
+        raise BadParams(f"max_edges must be nonnegative, got {max_edges}")
     edges = T.sorted_edges()
     if len(edges) > max_edges:
         raise TooManyAssignments(len(edges), max_edges)

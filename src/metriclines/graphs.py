@@ -25,14 +25,13 @@ from typing import Iterable, Sequence
 from .errors import (
     ArityMismatch,
     BadParams,
-    DegeneratePair,
     DisconnectedGraph,
-    IndexOutOfRange,
     NotOneTwoSpace,
     TooFewPoints,
+    check_pair,
+    check_points,
 )
 from .metric import LineFamily, MetricSpace, family_from_masks, line_of, validate_metric
-from .metric import int_metric_line_masks  # re-exported: the graph searches use it
 
 
 @dataclass(frozen=True)
@@ -59,13 +58,6 @@ class Graph:
                 row &= row - 1
                 if not self.adj[v] >> u & 1:
                     raise BadParams(f"adjacency not symmetric at ({min(u, v)},{max(u, v)})")
-
-    @property
-    def m(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -123,24 +115,7 @@ def bfs_distances(adj: Sequence[int], n: int, src: int) -> list[int]:
 
 
 def is_connected(G: Graph) -> bool:
-    if G.n == 1:
-        return True
-    return reachable_mask(G.adj, G.n, 0) == (1 << G.n) - 1
-
-
-def reachable_mask(adj: Sequence[int], n: int, src: int) -> int:
-    seen = 1 << src
-    frontier = 1 << src
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            v = (f & -f).bit_length() - 1
-            f &= f - 1
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen
+    return -1 not in bfs_distances(G.adj, G.n, 0)
 
 
 def graph_dist_rows(G: Graph) -> list[list[int]]:
@@ -249,26 +224,9 @@ def space_to_graph(S: MetricSpace) -> Graph:
     return graph_from_edges(S.n, edges)
 
 
-def one_two_correspondence(direction: str, value) -> MetricSpace | Graph:
-    """Dispatch between the two sides of the graph ↔ 1-2 space bijection."""
-    if direction == "forward":
-        if not isinstance(value, Graph):
-            raise BadParams("forward direction expects a Graph")
-        return graph_to_space(value)
-    if direction == "backward":
-        if not isinstance(value, MetricSpace):
-            raise BadParams("backward direction expects a MetricSpace")
-        return space_to_graph(value)
-    raise BadParams(f"unknown direction {direction!r}")
-
-
 def are_twins(S: MetricSpace, u: int, v: int) -> bool:
     """d(u,v) = 2 and u, v agree with every other point."""
-    for p in (u, v):
-        if not 0 <= p < S.n:
-            raise IndexOutOfRange(p, S.n)
-    if u == v:
-        raise DegeneratePair(u)
+    check_pair(S.n, u, v)
     _require_one_two(S)
     if S.dist[u][v] != 2:
         return False
@@ -337,9 +295,7 @@ def distinct_line_case(
     want = _CASE_ARITY[case_id]
     if len(points) != want:
         raise ArityMismatch(case_id, want, len(points))
-    for p in points:
-        if not 0 <= p < S.n:
-            raise IndexOutOfRange(p, S.n)
+    check_points(S.n, *points)
     if len(set(points)) != want:
         raise BadParams(f"points must be distinct, got {points}")
     _require_one_two(S)

@@ -1,22 +1,22 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming over integer data.
 
-maximize() solves  max c.x  subject to  A.x <= b, x >= 0  with b >= 0, so
-the slack basis is feasible and no phase-1 is needed.  That restricted form
-is all the feasibility reductions here generate.
+maximize_scaled() solves  max c.x  subject to  M.x <= b, x >= 0  for
+integer c, M and b with b >= 0, so the slack basis is feasible and no
+phase-1 is needed.  That restricted form, with denominators already
+cleared, is all the feasibility reductions here generate.
 
 The solver keeps the simplex dictionary as an integer matrix with one
 shared denominator and pivots fraction-free (the two-term Bareiss update),
 which avoids Fraction overhead in the hot loop.  Entering columns follow
 Dantzig's rule until the iteration stalls on degenerate pivots, then switch
-to Bland's rule, which cannot cycle.  Everything is exact; the result is
-reported in Fractions.
+to Bland's rule, which cannot cycle.  Everything is exact; the optimal
+value and point are reported as Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
 
 from .errors import SolverFailure
@@ -30,67 +30,16 @@ class SimplexSolution:
     x: tuple[Fraction, ...]
 
 
-def _scale_row(coeffs: Sequence[Fraction], rhs: Fraction | None) -> tuple[list[int], int | None]:
-    """Clear denominators of one row (and rhs) by its positive lcm."""
-    dens = [c.denominator for c in coeffs]
-    if rhs is not None:
-        dens.append(rhs.denominator)
-    mul = lcm(*dens) if dens else 1
-    ints = [int(c * mul) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if rhs is not None:
-        r = int(rhs * mul)
-        g = gcd(g, r)
-        if g > 1:
-            ints = [v // g for v in ints]
-            r //= g
-        return ints, r
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints, None
-
-
-def maximize(
-    objective: Sequence[Fraction | int],
-    rows: Sequence[tuple[Sequence[Fraction | int], Fraction | int]],
-    max_pivots: int = 100_000,
-) -> SimplexSolution:
-    """Solve max c.x s.t. A.x <= b, x >= 0, where every b entry is >= 0."""
-    c = [Fraction(v) for v in objective]
-    nvars = len(c)
-
-    obj_ints, _ = _scale_row(c, None)
-    obj_mul = Fraction(1)
-    for orig, scaled in zip(c, obj_ints):
-        if orig != 0:
-            obj_mul = Fraction(scaled) / orig
-            break
-
-    M: list[list[int]] = []
-    b: list[int] = []
-    for coeffs, rhs in rows:
-        fr = [Fraction(v) for v in coeffs]
-        if len(fr) != nvars:
-            raise SolverFailure("row width does not match objective")
-        ints, r = _scale_row(fr, Fraction(rhs))
-        M.append(ints)
-        b.append(r)  # type: ignore[arg-type]
-    sol = maximize_scaled(obj_ints, M, b, max_pivots)
-    return SimplexSolution(sol.value / obj_mul, sol.x)
-
-
 def maximize_scaled(
     obj_ints: Sequence[int],
     M: list[list[int]],
     b: list[int],
     max_pivots: int = 100_000,
 ) -> SimplexSolution:
-    """maximize() for callers that already hold integer rows.
+    """Maximize obj_ints.x subject to M.x <= b, x >= 0, where b >= 0.
 
-    M and b are consumed (mutated in place).  The objective is used as
-    given, so the reported value is exact for these coefficients.
+    M and b are consumed (mutated in place).  Raises SolverFailure on a
+    negative rhs, an unbounded objective or more than max_pivots pivots.
     """
     nvars = len(obj_ints)
     m = len(M)

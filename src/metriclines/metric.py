@@ -23,12 +23,12 @@ from typing import Sequence
 from .errors import (
     AsymmetryError,
     BadParams,
-    DegeneratePair,
-    IndexOutOfRange,
     NonpositiveDistance,
     NonzeroDiagonal,
     TooFewPoints,
     TriangleViolation,
+    check_pair,
+    check_points,
 )
 
 
@@ -56,9 +56,6 @@ class MetricSpace:
 
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
-
-    def points(self) -> range:
-        return range(self.n)
 
 
 @dataclass(frozen=True)
@@ -99,9 +96,6 @@ class LineFamily:
     @property
     def count(self) -> int:
         return len(self.lines)
-
-    def universal_lines(self) -> tuple[Line, ...]:
-        return tuple(ln for ln in self.lines if len(ln.points) == self.n)
 
     def has_universal(self) -> bool:
         return any(len(ln.points) == self.n for ln in self.lines)
@@ -149,22 +143,9 @@ def validate_metric(rows: Sequence[Sequence[Fraction | int | str]]) -> MetricSpa
     return S
 
 
-def _check_point(S: MetricSpace, p: int) -> None:
-    if not 0 <= p < S.n:
-        raise IndexOutOfRange(p, S.n)
-
-
-def _check_pair(S: MetricSpace, u: int, v: int) -> None:
-    _check_point(S, u)
-    _check_point(S, v)
-    if u == v:
-        raise DegeneratePair(u)
-
-
 def between(S: MetricSpace, a: int, b: int, c: int) -> bool:
     """True when b lies between a and c: all distinct and d(a,b)+d(b,c)==d(a,c)."""
-    for p in (a, b, c):
-        _check_point(S, p)
+    check_points(S.n, a, b, c)
     if a == b or b == c or a == c:
         return False
     D = S.scaled
@@ -211,7 +192,7 @@ def line_of(S: MetricSpace, u: int, v: int) -> Line:
     It contains u and v, every p with [puv], every p with [upv], and every
     p with [uvp].
     """
-    _check_pair(S, u, v)
+    check_pair(S.n, u, v)
     D = S.scaled
     mask = _pair_mask(D[u], D[v], D[u][v])
     key = (u, v) if u < v else (v, u)

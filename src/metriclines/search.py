@@ -16,7 +16,8 @@ from typing import Mapping, Union
 from .enumeration import MAX_GRAPH_N, MAX_TRIPLES_N, enum_graphs, enum_triple_systems
 from .errors import BadParams, EmptyUniverse, SizeCap
 from .fileio import dump_graph, dump_triples
-from .graphs import Graph, graph_dist_rows, int_metric_line_masks, onetwo_line_masks
+from .graphs import Graph, graph_dist_rows, onetwo_line_masks
+from .metric import int_metric_line_masks
 from .triples import TripleSystem, triple_line_masks
 
 UNIVERSES = ("hypergraphs", "one_two", "graph_metrics")

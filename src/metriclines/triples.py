@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BadParams, DegeneratePair, IndexOutOfRange, TooFewPoints, XInsideT
+from .errors import BadParams, TooFewPoints, XInsideT, check_pair, check_points
 from .metric import Line, LineFamily, MetricSpace, family_from_masks, int_metric_line_masks, mask_points
 
 
@@ -65,17 +65,9 @@ def betweenness_triples(S: MetricSpace) -> TripleSystem:
     return TripleSystem(S.n, frozenset(edges))
 
 
-def _check_pair(T: TripleSystem, u: int, v: int) -> None:
-    for p in (u, v):
-        if not 0 <= p < T.n:
-            raise IndexOutOfRange(p, T.n)
-    if u == v:
-        raise DegeneratePair(u)
-
-
 def hyper_line(T: TripleSystem, u: int, v: int) -> Line:
     """u, v, and every w such that {u,v,w} is an edge."""
-    _check_pair(T, u, v)
+    check_pair(T.n, u, v)
     pts = {u, v} | {w for w in range(T.n) if T.has_edge(u, v, w)}
     key = (u, v) if u < v else (v, u)
     return Line(frozenset(pts), frozenset({key}))
@@ -120,9 +112,7 @@ def k34_condition(T: TripleSystem, x: int, tset) -> bool:
     {x,u,w}, {x,v,w}, {u,v,w} present as edges.  x must lie outside tset.
     """
     pts = sorted(set(tset))
-    for p in [x, *pts]:
-        if not 0 <= p < T.n:
-            raise IndexOutOfRange(p, T.n)
+    check_points(T.n, x, *pts)
     if x in pts:
         raise XInsideT(x)
     for u, v, w in combinations(pts, 3):

@@ -36,12 +36,8 @@ from metriclines import (
     triple_system,
     vertex_signatures,
 )
-from metriclines.graphs import (
-    Graph,
-    distinct_line_case,
-    graph_dist_rows,
-    int_metric_line_masks,
-)
+from metriclines.graphs import Graph, distinct_line_case, graph_dist_rows
+from metriclines.metric import int_metric_line_masks
 from metriclines.search import _instance_masks, triple_line_masks
 
 import helpers

@@ -170,6 +170,19 @@ class TestConstructVerb:
         assert run_main("construct", "groups", "3") == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "n,c,message",
+        [
+            ("0", "1", "need at least one point, got 0"),
+            ("-2", "1", "need at least one point, got -2"),
+            ("3", "0", "distance must be positive, got 0"),
+            ("3", "-3", "distance must be positive, got -3"),
+        ],
+    )
+    def test_bad_uniform_params_are_usage(self, n, c, message, capsys):
+        assert run_main("construct", "uniform", n, c) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestSearchVerb:
     def test_one_two_tsv(self, capsys):
@@ -291,6 +304,12 @@ class TestMetrizableVerb:
         p.write_text(K34_TRIPLES)
         assert run_main("metrizable", str(p), "--max-edges", "3") == 3
         assert "error" in capsys.readouterr().err
+
+    def test_negative_max_edges_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "k34.txt"
+        p.write_text(K34_TRIPLES)
+        assert run_main("metrizable", str(p), "--max-edges", "-1") == 2
+        assert "max_edges must be nonnegative, got -1" in capsys.readouterr().err
 
     def test_bad_cap_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "k34.txt"

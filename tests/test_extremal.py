@@ -9,14 +9,12 @@ import pytest
 
 from metriclines import (
     BadParams,
-    BoundSpec,
     Graph,
     IndexOutOfRange,
     PreconditionUnmet,
     TooFewPoints,
     XInsideT,
     balanced_group_space,
-    bound_value,
     bucket_decomposition,
     calculus_check,
     check_bound,
@@ -30,6 +28,7 @@ from metriclines import (
     line_family,
     path_graph,
     pentagon,
+    power_bound,
     predicted_group_lines,
     uniform_space,
 )
@@ -198,8 +197,8 @@ class TestCheckBound:
         assert d["lines_found"] == 10
         assert isinstance(d["bound_lo"], str)
 
-    def test_bound_value_from_spec(self):
-        lo, hi = bound_value(BoundSpec("diam", {"t": 8}))
+    def test_diam_sandwich_is_exact(self):
+        lo, hi = power_bound("diam", {"t": 8}).sandwich()
         assert lo == hi == 2
 
 

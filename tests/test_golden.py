@@ -1,12 +1,15 @@
 """Golden outputs: the CLI's canonical JSON on a small fixed corpus.
 
 Each case runs one verb under ``--format json``, on an input file from
-``tests/golden/inputs`` or, for ``search`` and ``scan``, on no input at
-all, and compares stdout byte for byte with ``tests/golden/<case>.json``.  A case that exits nonzero also compares
-stderr with ``tests/golden/<case>.stderr``.  The files were written once
-and are not regenerated by the tests, so any change in a line family, a
-triple list, a bound report, a metrizability verdict or the canonical
-witness and order of an exhaustive search shows up here.
+``tests/golden/inputs`` or, for ``search``, ``scan`` and ``construct``, on
+no input at all, and compares stdout byte for byte with
+``tests/golden/<case>.json``.  ``construct`` writes its instance file to
+stdout whatever the format, so its goldens hold that file's text.  A case
+that exits nonzero also compares stderr with ``tests/golden/<case>.stderr``.
+The files were written once and are not regenerated by the tests, so any
+change in a line family, a triple list, a bound report, a metrizability
+verdict, a constructed instance or the canonical witness and order of an
+exhaustive search shows up here.
 
 To rewrite the files after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py --write``.
@@ -50,6 +53,12 @@ CASES = (
     ("search-hypergraphs-5", ["search", "hypergraphs", "5"], None, 0),
     ("search-one_two-6", ["search", "one_two", "6"], None, 0),
     ("search-graph_metrics-6", ["search", "graph_metrics", "6"], None, 0),
+    ("construct-pentagon", ["construct", "pentagon"], None, 0),
+    ("construct-groups_3_3", ["construct", "groups", "3", "3"], None, 0),
+    ("construct-groups_balanced_12", ["construct", "groups_balanced", "12"], None, 0),
+    ("construct-path_5", ["construct", "path", "5"], None, 0),
+    ("construct-uniform_4_3_2", ["construct", "uniform", "4", "3/2"], None, 0),
+    ("construct-complete_4", ["construct", "complete", "4"], None, 0),
 )
 
 

@@ -29,13 +29,13 @@ from metriclines import (
     line_family,
     max_clique_size,
     maximal_twin_free,
-    one_two_correspondence,
     onetwo_line_family,
     space_to_graph,
     uniform_space,
     validate_metric,
 )
-from metriclines.graphs import graph_dist_rows, int_metric_line_masks, onetwo_line_masks
+from metriclines.graphs import graph_dist_rows, onetwo_line_masks
+from metriclines.metric import int_metric_line_masks
 from helpers import labeled_graph_rows, oracle_line_sets
 
 
@@ -144,8 +144,8 @@ class TestOneTwoCorrespondence:
         rng = random.Random(3)
         for _ in range(10):
             G = random_graph(rng, rng.randint(1, 7))
-            S = one_two_correspondence("forward", G)
-            back = one_two_correspondence("backward", S)
+            S = graph_to_space(G)
+            back = space_to_graph(S)
             assert back.adj == G.adj
 
     def test_forward_accepts_disconnected(self):
@@ -158,10 +158,6 @@ class TestOneTwoCorrespondence:
         assert not is_one_two(S)
         with pytest.raises(NotOneTwoSpace):
             space_to_graph(S)
-
-    def test_unknown_direction(self):
-        with pytest.raises(BadParams):
-            one_two_correspondence("sideways", None)
 
     def test_every_one_two_matrix_is_a_metric(self):
         for rows in labeled_graph_rows(4):

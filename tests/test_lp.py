@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metriclines import SolverFailure
-from metriclines.lp import maximize
+from metriclines.lp import maximize_scaled
 
 
 def solve_square(rows, rhs):
@@ -57,63 +57,44 @@ def oracle_lp_max(objective, rows):
     return best
 
 
+def solve(objective, rows):
+    """maximize_scaled on copies of integer (coefficients, rhs) rows."""
+    return maximize_scaled(objective, [list(a) for a, _ in rows], [b for _, b in rows])
+
+
 def random_bounded_lp(rng, nvars, nrows):
-    objective = [Fraction(rng.randint(-3, 5)) for _ in range(nvars)]
+    objective = [rng.randint(-3, 5) for _ in range(nvars)]
     rows = []
     for _ in range(nrows):
-        coeffs = [Fraction(rng.randint(-2, 4)) for _ in range(nvars)]
-        rows.append((coeffs, Fraction(rng.randint(0, 9))))
+        coeffs = [rng.randint(-2, 4) for _ in range(nvars)]
+        rows.append((coeffs, rng.randint(0, 9)))
     # a box row keeps the feasible region bounded for the oracle
-    rows.append(([Fraction(1)] * nvars, Fraction(rng.randint(5, 20))))
+    rows.append(([1] * nvars, rng.randint(5, 20)))
     return objective, rows
 
 
 class TestSimplex:
     def test_textbook_instance(self):
-        sol = maximize(
-            [Fraction(3), Fraction(5)],
-            [
-                ([Fraction(1), Fraction(0)], Fraction(4)),
-                ([Fraction(0), Fraction(2)], Fraction(12)),
-                ([Fraction(3), Fraction(2)], Fraction(18)),
-            ],
-        )
+        sol = solve([3, 5], [([1, 0], 4), ([0, 2], 12), ([3, 2], 18)])
         assert sol.value == 36
         assert sol.x == (Fraction(2), Fraction(6))
 
     def test_degenerate_vertex(self):
-        sol = maximize(
-            [Fraction(1), Fraction(1)],
-            [
-                ([Fraction(1), Fraction(1)], Fraction(1)),
-                ([Fraction(2), Fraction(2)], Fraction(2)),
-                ([Fraction(1), Fraction(0)], Fraction(1)),
-            ],
-        )
+        sol = solve([1, 1], [([1, 1], 1), ([2, 2], 2), ([1, 0], 1)])
         assert sol.value == 1
 
     def test_origin_optimal(self):
-        sol = maximize(
-            [Fraction(-1), Fraction(-2)],
-            [([Fraction(1), Fraction(1)], Fraction(5))],
-        )
+        sol = solve([-1, -2], [([1, 1], 5)])
         assert sol.value == 0
         assert sol.x == (Fraction(0), Fraction(0))
 
     def test_unbounded_detected(self):
         with pytest.raises(SolverFailure):
-            maximize([Fraction(1)], [([Fraction(-1)], Fraction(3))])
+            solve([1], [([-1], 3)])
 
     def test_negative_rhs_rejected(self):
         with pytest.raises(SolverFailure):
-            maximize([Fraction(1)], [([Fraction(1)], Fraction(-1))])
-
-    def test_fractional_data(self):
-        sol = maximize(
-            [Fraction(1, 3)],
-            [([Fraction(2, 7)], Fraction(5, 3))]
-        )
-        assert sol.value == Fraction(1, 3) * Fraction(5, 3) / Fraction(2, 7)
+            solve([1], [([1], -1)])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 100_000))
@@ -122,7 +103,7 @@ class TestSimplex:
         nvars = rng.randint(1, 3)
         nrows = rng.randint(1, 4)
         objective, rows = random_bounded_lp(rng, nvars, nrows)
-        sol = maximize(objective, rows)
+        sol = solve(objective, rows)
         assert sol.value == oracle_lp_max(objective, rows)
         # the reported point is feasible and achieves the value
         assert all(v >= 0 for v in sol.x)
