@@ -86,8 +86,8 @@ class PowerBound:
         rhs = body ** self.root
         return (lhs > rhs) - (lhs < rhs)
 
-    def sandwich(self, bits: int = SANDWICH_BITS) -> tuple[Fraction, Fraction]:
-        """Rational lo <= value <= hi with hi - lo <= 2**-bits.
+    def sandwich(self) -> tuple[Fraction, Fraction]:
+        """Rational lo <= value <= hi with hi - lo <= 2**-SANDWICH_BITS.
 
         When the value is exactly representable the two ends coincide.
         """
@@ -97,12 +97,12 @@ class PowerBound:
         if exact_n and exact_d:
             v = Fraction(rn, rd) + self.shift
             return v, v
-        scaled = (n << (self.root * bits)) // d
+        scaled = (n << (self.root * SANDWICH_BITS)) // d
         r, _ = int_nthroot(scaled, self.root)
-        # r // 2**bits <= value < (r+1) // 2**bits, and the value is not a
-        # dyadic rational here, so both inequalities are strict enough.
-        lo = Fraction(r, 1 << bits) + self.shift
-        hi = Fraction(r + 1, 1 << bits) + self.shift
+        # r / 2**SANDWICH_BITS <= value < (r+1) / 2**SANDWICH_BITS, and the
+        # value is not a dyadic rational here, so both inequalities are strict enough.
+        lo = Fraction(r, 1 << SANDWICH_BITS) + self.shift
+        hi = Fraction(r + 1, 1 << SANDWICH_BITS) + self.shift
         return lo, hi
 
 

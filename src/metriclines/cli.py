@@ -158,7 +158,6 @@ def _search_tsv(doc: dict) -> str:
         "exclude_universal",
         "minimum",
         "instances_examined",
-        "iso_classes",
     ):
         value = doc[key]
         if isinstance(value, bool):
@@ -190,7 +189,6 @@ def _cmd_scan(args) -> int:
         for n in sorted(report.minima):
             rows.append(f"minimum:{n}\t{report.minima[n]}")
         rows.append(f"instances_examined\t{report.instances_examined}")
-        rows.append(f"iso_classes\t{report.iso_classes}")
         if "elapsed_ms" in doc:
             rows.append(f"elapsed_ms\t{doc['elapsed_ms']}")
         _print("\n".join(rows))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .bounds import PowerBound, Rational, power_bound
+from .bounds import Rational, power_bound
 from .errors import BadParams, PreconditionUnmet, TooFewPoints, XInsideT, check_points
 from .fileio import format_rational
 from .graphs import Graph, first_non_one_two, graph_dist_rows, graph_from_edges, is_connected
@@ -301,6 +301,5 @@ def calculus_check(x: Rational, y: Rational) -> bool:
         raise BadParams(f"x must be at least 3, got {x}")
     if y < 0:
         raise BadParams(f"y must be nonnegative, got {y}")
-    lhs_shifted = Fraction(1, 2) * (x * x / (2 * y + x)) ** 2 + y + x / 2
-    cube = PowerBound(27 * x ** 4 / 32, 3)
-    return cube.compare(lhs_shifted) <= 0
+    lhs = Fraction(1, 2) * (x * x / (2 * y + x)) ** 2 + y
+    return power_bound("calculus", {"x": x}).compare(lhs) <= 0

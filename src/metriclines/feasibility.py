@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 from math import gcd
 
@@ -96,31 +97,13 @@ def _ordering_cycle(choices: list[tuple[int, int, int]]) -> bool:
     above both summands once all distances must stay >= the margin, so a
     cycle proves the margin cannot be positive.
     """
-    arcs: dict[int, list[int]] = {}
+    order: TopologicalSorter[int] = TopologicalSorter()
     for i1, i2, out in choices:
-        arcs.setdefault(out, []).append(i1)
-        arcs[out].append(i2)
-    color: dict[int, int] = {}
-    for start in arcs:
-        if color.get(start, 0):
-            continue
-        stack = [(start, iter(arcs.get(start, ())))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, 0)
-                if c == 1:
-                    return True
-                if c == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(arcs.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
+        order.add(out, i1, i2)
+    try:
+        order.prepare()
+    except CycleError:
+        return True
     return False
 
 

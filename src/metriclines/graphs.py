@@ -27,11 +27,10 @@ from .errors import (
     BadParams,
     DisconnectedGraph,
     NotOneTwoSpace,
-    TooFewPoints,
     check_pair,
     check_points,
 )
-from .metric import LineFamily, MetricSpace, family_from_masks, line_of, validate_metric
+from .metric import MetricSpace, line_of, validate_metric
 
 
 @dataclass(frozen=True)
@@ -346,18 +345,8 @@ def onetwo_line_masks(n: int, adj: Sequence[int]) -> list[int]:
     return out
 
 
-def onetwo_line_family(G: Graph) -> LineFamily:
-    """Line family of the 1-2 space of G, from its XOR/AND line masks."""
-    if G.n < 2:
-        raise TooFewPoints(G.n, 2)
-    return family_from_masks(G.n, onetwo_line_masks(G.n, G.adj))
-
-
-def max_clique_size(n: int, adj: Sequence[int], candidates: int | None = None) -> int:
-    """Size of the largest clique within the candidate set (default: all)."""
-    if candidates is None:
-        candidates = (1 << n) - 1
-
+def max_clique_size(n: int, adj: Sequence[int]) -> int:
+    """Size of the largest clique of the graph."""
     best = 0
 
     def grow(clique_size: int, cand: int) -> None:
@@ -374,5 +363,5 @@ def max_clique_size(n: int, adj: Sequence[int], candidates: int | None = None) -
                 return
             grow(clique_size + 1, cand & adj[v])
 
-    grow(0, candidates)
+    grow(0, (1 << n) - 1)
     return best

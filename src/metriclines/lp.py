@@ -22,6 +22,7 @@ from typing import Sequence
 from .errors import SolverFailure
 
 _STALL_LIMIT = 30
+_MAX_PIVOTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -34,12 +35,11 @@ def maximize_scaled(
     obj_ints: Sequence[int],
     M: list[list[int]],
     b: list[int],
-    max_pivots: int = 100_000,
 ) -> SimplexSolution:
     """Maximize obj_ints.x subject to M.x <= b, x >= 0, where b >= 0.
 
     M and b are consumed (mutated in place).  Raises SolverFailure on a
-    negative rhs, an unbounded objective or more than max_pivots pivots.
+    negative rhs, an unbounded objective or more than _MAX_PIVOTS pivots.
     """
     nvars = len(obj_ints)
     m = len(M)
@@ -58,7 +58,7 @@ def maximize_scaled(
     stall = 0
     pivots = 0
     while True:
-        if pivots > max_pivots:
+        if pivots > _MAX_PIVOTS:
             raise SolverFailure("pivot limit exceeded")
         use_bland = stall >= _STALL_LIMIT
         col = -1

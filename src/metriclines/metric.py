@@ -54,9 +54,6 @@ class MetricSpace:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "scaled", scaled)
 
-    def d(self, i: int, j: int) -> Fraction:
-        return self.dist[i][j]
-
 
 @dataclass(frozen=True)
 class Line:

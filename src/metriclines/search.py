@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Any, Callable, Iterator, Mapping, Union
 
 from .enumeration import MAX_GRAPH_N, MAX_TRIPLES_N, enum_graphs, enum_triple_systems
 from .errors import BadParams, EmptyUniverse, SizeCap
@@ -20,20 +20,33 @@ from .graphs import Graph, graph_dist_rows, onetwo_line_masks
 from .metric import int_metric_line_masks
 from .triples import TripleSystem, triple_line_masks
 
-UNIVERSES = ("hypergraphs", "one_two", "graph_metrics")
 
-_CAPS = {
-    "hypergraphs": MAX_TRIPLES_N,
-    "one_two": MAX_GRAPH_N,
-    "graph_metrics": MAX_GRAPH_N,
+# universe -> (size cap, default of exclude_universal, classes on n points in
+# canonical order, line masks of a class).  f and the graph-metric question
+# exclude the universal line; h does not.  The lambdas look the enumerators
+# and kernels up when called, so a replacement installed on this module after
+# import takes effect.
+_SPECS: dict[str, tuple[int, bool, Callable[[int], list], Callable[[Any], list]]] = {
+    "hypergraphs": (
+        MAX_TRIPLES_N,
+        True,
+        lambda n: enum_triple_systems(n),
+        lambda T: triple_line_masks(T),
+    ),
+    "one_two": (
+        MAX_GRAPH_N,
+        False,
+        lambda n: enum_graphs(n),
+        lambda G: onetwo_line_masks(G.n, G.adj),
+    ),
+    "graph_metrics": (
+        MAX_GRAPH_N,
+        True,
+        lambda n: enum_graphs(n, connected=True),
+        lambda G: int_metric_line_masks(G.n, graph_dist_rows(G)),
+    ),
 }
-
-# f and the graph-metric question exclude the universal line; h does not.
-DEFAULT_EXCLUDE = {
-    "hypergraphs": True,
-    "one_two": False,
-    "graph_metrics": True,
-}
+UNIVERSES = tuple(_SPECS)
 
 
 @dataclass(frozen=True)
@@ -44,7 +57,6 @@ class SearchReport:
     minimum: int
     witness: Union[TripleSystem, Graph]
     instances_examined: int
-    iso_classes: int
     elapsed: float
 
     def witness_text(self) -> str:
@@ -60,7 +72,6 @@ class SearchReport:
             "minimum": self.minimum,
             "witness": self.witness_text(),
             "instances_examined": self.instances_examined,
-            "iso_classes": self.iso_classes,
         }
         if include_timing:
             out["elapsed_ms"] = int(self.elapsed * 1000)
@@ -73,7 +84,6 @@ class ScanReport:
     violators: tuple[Graph, ...]
     minima: Mapping[int, int]
     instances_examined: int
-    iso_classes: int
     elapsed: float
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
@@ -82,19 +92,20 @@ class ScanReport:
             "violators": [dump_graph(g) for g in self.violators],
             "minima": {str(n): self.minima[n] for n in sorted(self.minima)},
             "instances_examined": self.instances_examined,
-            "iso_classes": self.iso_classes,
         }
         if include_timing:
             out["elapsed_ms"] = int(self.elapsed * 1000)
         return out
 
 
-def _instance_masks(universe: str, instance) -> list[int]:
-    if universe == "hypergraphs":
-        return triple_line_masks(instance)
-    if universe == "one_two":
-        return onetwo_line_masks(instance.n, instance.adj)
-    return int_metric_line_masks(instance.n, graph_dist_rows(instance))
+def _line_counts(universe: str, n: int, exclude_universal: bool) -> Iterator[tuple]:
+    """Yield (class, distinct-line count) in canonical order, None if excluded."""
+    _, _, classes, masks_of = _SPECS[universe]
+    full = (1 << n) - 1
+    for inst in classes(n):
+        masks = set(masks_of(inst))
+        excluded = exclude_universal and full in masks
+        yield inst, None if excluded else len(masks)
 
 
 def min_lines(
@@ -103,11 +114,11 @@ def min_lines(
     exclude_universal: bool | None = None,
 ) -> SearchReport:
     """Exact minimum number of distinct lines over a whole universe."""
-    if universe not in UNIVERSES:
+    if universe not in _SPECS:
         raise BadParams(f"unknown universe {universe!r}")
+    cap, default_exclude, _, _ = _SPECS[universe]
     if exclude_universal is None:
-        exclude_universal = DEFAULT_EXCLUDE[universe]
-    cap = _CAPS[universe]
+        exclude_universal = default_exclude
     if n > cap:
         raise SizeCap(f"universe {universe} is capped at n <= {cap}, got {n}")
     if exclude_universal and n < 3:
@@ -116,22 +127,12 @@ def min_lines(
         raise BadParams("a line needs two points, so n >= 2 is required")
 
     start = time.monotonic()
-    if universe == "hypergraphs":
-        instances = enum_triple_systems(n)
-    else:
-        instances = enum_graphs(n, connected=(universe == "graph_metrics"))
-
-    full = (1 << n) - 1
     best: int | None = None
     witness = None
     examined = 0
-    for inst in instances:
+    for inst, count in _line_counts(universe, n, exclude_universal):
         examined += 1
-        masks = set(_instance_masks(universe, inst))
-        if exclude_universal and full in masks:
-            continue
-        count = len(masks)
-        if best is None or count < best:
+        if count is not None and (best is None or count < best):
             best = count
             witness = inst
     if best is None:
@@ -145,7 +146,6 @@ def min_lines(
         minimum=best,
         witness=witness,
         instances_examined=examined,
-        iso_classes=len(instances),
         elapsed=time.monotonic() - start,
     )
 
@@ -166,15 +166,11 @@ def conjecture_scan(n_max: int) -> ScanReport:
     minima: dict[int, int] = {}
     examined = 0
     for n in range(3, n_max + 1):
-        full = (1 << n) - 1
-        for g in enum_graphs(n, connected=True):
+        for g, count in _line_counts("graph_metrics", n, True):
             examined += 1
-            masks = set(int_metric_line_masks(n, graph_dist_rows(g)))
-            if full in masks:
+            if count is None:
                 continue
-            count = len(masks)
-            if n not in minima or count < minima[n]:
-                minima[n] = count
+            minima[n] = min(count, minima.get(n, count))
             if count < n:
                 violators.append(g)
     return ScanReport(
@@ -182,6 +178,5 @@ def conjecture_scan(n_max: int) -> ScanReport:
         violators=tuple(violators),
         minima=minima,
         instances_examined=examined,
-        iso_classes=examined,
         elapsed=time.monotonic() - start,
     )

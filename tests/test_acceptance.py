@@ -38,7 +38,7 @@ from metriclines import (
 )
 from metriclines.graphs import Graph, distinct_line_case, graph_dist_rows
 from metriclines.metric import int_metric_line_masks
-from metriclines.search import _instance_masks, triple_line_masks
+from metriclines.search import _SPECS, triple_line_masks
 
 import helpers
 
@@ -161,8 +161,8 @@ def test_criterion_05_exhaustive_minima():
     assert h3.minimum == 1
     assert h3.witness.sorted_edges() == ((0, 2), (1, 2))
     # the witnesses really attain the minima
-    assert len(set(_instance_masks("hypergraphs", f3.witness))) == 3
-    assert len(set(_instance_masks("one_two", h3.witness))) == 1
+    assert len(set(_SPECS["hypergraphs"][3](f3.witness))) == 3
+    assert len(set(_SPECS["one_two"][3](h3.witness))) == 1
     assert elapsed < 1
     report(5, elapsed, "f(3)=3 and h(3)=1 with verified witnesses")
 

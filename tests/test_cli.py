@@ -218,6 +218,25 @@ class TestSearchVerb:
         assert "universe one_two is capped at n <= 8, got 9" in err
 
 
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (
+            ("search", "one_two", "3"),
+            ["universe", "n", "exclude_universal", "minimum", "instances_examined", "witness"],
+        ),
+        (
+            ("scan", "4"),
+            ["n_max", "violators", "minimum:3", "minimum:4", "instances_examined"],
+        ),
+    ],
+)
+def test_tsv_row_keys(argv, keys, capsys):
+    assert run_main(*argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [row.split("\t")[0] for row in out] == keys
+
+
 class TestScanVerb:
     def test_clean_scan(self, tmp_path, capsys):
         assert run_main("scan", "4", "--out-dir", str(tmp_path)) == 0
@@ -236,7 +255,6 @@ class TestScanVerb:
             violators=(g,),
             minima={3: 2},
             instances_examined=2,
-            iso_classes=2,
             elapsed=0.0,
         )
         import metriclines.cli as cli_mod

@@ -41,12 +41,12 @@ class TestConstructions:
     def test_pentagon_distances(self):
         S = pentagon()
         assert S.n == 5
-        assert S.d(0, 1) == 1 and S.d(0, 2) == 2 and S.d(0, 3) == 2
+        assert S.dist[0][1] == 1 and S.dist[0][2] == 2 and S.dist[0][3] == 2
         # two steps around the cycle cost 2, one step costs 1
         for i in range(5):
             for j in range(i + 1, 5):
                 gap = (j - i) % 5
-                assert S.d(i, j) == (2 if gap in (2, 3) else 1)
+                assert S.dist[i][j] == (2 if gap in (2, 3) else 1)
 
     def test_pentagon_line_count(self):
         fam = line_family(pentagon())
@@ -57,8 +57,8 @@ class TestConstructions:
         S = group_space(3, 2)
         assert S.n == 6
         # same block 2, different blocks 1
-        assert S.d(0, 1) == 2
-        assert S.d(0, 2) == 1
+        assert S.dist[0][1] == 2
+        assert S.dist[0][2] == 1
 
     def test_balanced_group_count_examples(self):
         for n, k in [(1, 1), (2, 1), (3, 2), (8, 3), (20, 6), (100, 17)]:
@@ -84,7 +84,7 @@ class TestConstructions:
             for i in range(n):
                 if i in seen:
                     continue
-                block = {i} | {j for j in range(n) if j != i and S.d(i, j) == 2}
+                block = {i} | {j for j in range(n) if j != i and S.dist[i][j] == 2}
                 seen |= block
                 sizes.append(len(block))
             assert max(sizes) - min(sizes) <= 1
@@ -97,7 +97,7 @@ class TestConstructions:
         assert construct("path", 4).n == 5
         assert isinstance(construct("complete", 4), Graph)
         S = construct("uniform", 4, Fraction(3, 2))
-        assert S.d(0, 1) == Fraction(3, 2)
+        assert S.dist[0][1] == Fraction(3, 2)
 
     def test_construct_validation(self):
         with pytest.raises(BadParams):
@@ -112,9 +112,9 @@ class TestConstructions:
     def test_path_and_complete(self):
         P = path_graph(3)
         assert P.n == 4
-        assert graph_metric(P).d(0, 3) == 3
+        assert graph_metric(P).dist[0][3] == 3
         K = complete_graph(5)
-        assert all(graph_metric(K).d(i, j) == 1 for i in range(5) for j in range(i + 1, 5))
+        assert all(graph_metric(K).dist[i][j] == 1 for i in range(5) for j in range(i + 1, 5))
 
 
 class TestGroupLinePrediction:
@@ -236,7 +236,7 @@ class TestBucketDecomposition:
             assert len(tset) * int(rho) >= S.n - 1
             delta = lo
             for u in tset:
-                assert i * delta <= S.d(x, u) < (i + 1) * delta
+                assert i * delta <= S.dist[x][u] < (i + 1) * delta
 
 
 class TestEqualLineClass:

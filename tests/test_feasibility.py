@@ -72,7 +72,7 @@ class TestWitnessProperties:
             res = metrizable(T, normalization_cap=cap)
             assert res.metrizable
             w = res.witness
-            top = max(w.d(i, j) for i in range(w.n) for j in range(i + 1, w.n))
+            top = max(w.dist[i][j] for i in range(w.n) for j in range(i + 1, w.n))
             assert top <= cap
 
     def test_cap_scales_witness_consistently(self):

@@ -26,10 +26,8 @@ from metriclines import (
     group_space,
     is_connected,
     is_one_two,
-    line_family,
     max_clique_size,
     maximal_twin_free,
-    onetwo_line_family,
     space_to_graph,
     uniform_space,
     validate_metric,
@@ -151,7 +149,7 @@ class TestOneTwoCorrespondence:
     def test_forward_accepts_disconnected(self):
         G = graph_from_edges(4, [(0, 1)])
         S = graph_to_space(G)
-        assert S.d(2, 3) == 2
+        assert S.dist[2][3] == 2
 
     def test_backward_requires_one_two(self):
         S = graph_metric(graph_from_edges(4, [(0, 1), (1, 2), (2, 3)]))
@@ -280,11 +278,6 @@ class TestLineMasks:
             masks = int_metric_line_masks(G.n, graph_dist_rows(G))
             got = {frozenset(_bits(m)) for m in masks}
             assert got == oracle_line_sets(S.dist)
-
-    def test_onetwo_family_wrapper_agrees(self):
-        G = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        fam = onetwo_line_family(G)
-        assert fam.point_sets() == line_family(graph_to_space(G)).point_sets()
 
 
 def _bits(mask):

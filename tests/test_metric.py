@@ -33,7 +33,7 @@ def path_space(n):
 class TestValidation:
     def test_accepts_fraction_strings(self):
         S = validate_metric([["0", "1/2"], ["1/2", "0"]])
-        assert S.d(0, 1) == Fraction(1, 2)
+        assert S.dist[0][1] == Fraction(1, 2)
 
     def test_ragged_rows(self):
         with pytest.raises(BadParams):

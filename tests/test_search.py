@@ -17,12 +17,12 @@ from metriclines import (
     load_triples_text,
     min_lines,
 )
-from metriclines.search import (
-    DEFAULT_EXCLUDE,
-    UNIVERSES,
-    _instance_masks,
-    triple_line_masks,
-)
+from metriclines.search import _SPECS, UNIVERSES, triple_line_masks
+
+
+def _masks(universe, instance):
+    *_, masks_of = _SPECS[universe]
+    return masks_of(instance)
 
 
 class TestKnownMinima:
@@ -32,7 +32,7 @@ class TestKnownMinima:
         assert rep.exclude_universal is True
         assert isinstance(rep.witness, TripleSystem)
         assert rep.witness.sorted_edges() == ()
-        assert rep.iso_classes == 2
+        assert rep.instances_examined == 2
 
     def test_hypergraph_minima_small(self):
         assert min_lines("hypergraphs", 4).minimum == 4
@@ -72,7 +72,7 @@ class TestWitnessValidity:
     @pytest.mark.parametrize("universe", UNIVERSES)
     def test_witness_attains_minimum(self, universe):
         rep = min_lines(universe, 4)
-        masks = set(_instance_masks(universe, rep.witness))
+        masks = set(_masks(universe, rep.witness))
         assert len(masks) == rep.minimum
         if rep.exclude_universal:
             assert (1 << rep.n) - 1 not in masks
@@ -106,14 +106,15 @@ class TestValidationAndCaps:
             min_lines("graph_metrics", 9)
 
     def test_defaults_per_universe(self):
-        assert DEFAULT_EXCLUDE == {
+        defaults = {universe: _SPECS[universe][1] for universe in UNIVERSES}
+        assert defaults == {
             "hypergraphs": True,
             "one_two": False,
             "graph_metrics": True,
         }
         for universe in UNIVERSES:
             rep = min_lines(universe, 3)
-            assert rep.exclude_universal is DEFAULT_EXCLUDE[universe]
+            assert rep.exclude_universal is defaults[universe]
 
     def test_empty_universe(self, monkeypatch):
         # no real universe in range is empty (the edgeless system and the
@@ -145,7 +146,7 @@ class TestConjectureScan:
         rep = conjecture_scan(3)
         assert rep.violators == ()
         assert rep.minima == {3: 3}
-        assert rep.iso_classes == 2
+        assert rep.instances_examined == 2
 
     def test_scan_to_five(self):
         rep = conjecture_scan(5)
@@ -158,6 +159,12 @@ class TestConjectureScan:
         assert rep.violators == ()
         assert rep.minima == {}
         assert rep.instances_examined == 0
+
+    def test_scan_agrees_with_min_lines(self):
+        rep = conjecture_scan(7)
+        searches = [min_lines("graph_metrics", n) for n in range(3, 8)]
+        assert rep.minima == {s.n: s.minimum for s in searches}
+        assert rep.instances_examined == sum(s.instances_examined for s in searches)
 
     def test_cap(self):
         with pytest.raises(SizeCap):
