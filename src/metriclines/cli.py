@@ -302,7 +302,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        # argparse reads a negative parameter such as -1/2 as an unknown
+        # option, and leaves parameters given after -o unclaimed; both come
+        # back here in order, after the parameters it did claim
+        if extra and args.verb == "construct" and all(
+            not token.startswith("-") or token[1:2].isdigit() for token in extra
+        ):
+            args.params += extra
+        elif extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -12,6 +12,15 @@ appended, would be a smaller tuple for the whole.  So every class on n
 points is a class on n-1 points plus one column, and extending each class
 by every column, keeping the children whose tuple is minimal, yields every
 class exactly once; with sorted parents and increasing columns, in order.
+
+One generator serves both structures.  Each gives three callbacks: extend
+builds a child's adjacency rows or links from its parent's and the new
+column, grow turns the columns of the unplaced vertices into their columns
+after one more vertex is placed, and interchangeable tells the vertex
+pairs whose transposition is an automorphism.  The minimality search
+carries every unplaced vertex's column down the tree and grows it by one
+slot per level, so no column is read out from scratch.  A table lookup on
+the new column rejects many children before any search.
 """
 
 from __future__ import annotations
@@ -29,70 +38,97 @@ MAX_GRAPH_N = 8
 MAX_TRIPLES_N = 6
 
 
-def _twins(n: int, interchangeable) -> list[int]:
-    """Per vertex, the bitmask of vertices it is interchangeable with."""
-    twins = [0] * n
-    for u, v in combinations(range(n), 2):
-        if interchangeable(u, v):
-            twins[u] |= 1 << v
-            twins[v] |= 1 << u
-    return twins
-
-
-def _min_placement(n: int, col_of, interchangeable, target=()) -> tuple[int, ...] | None:
+def _min_placement(n: int, grow, interchangeable, target=()) -> tuple[int, ...] | None:
     """Smallest column tuple over all ways to place n vertices into slots.
 
-    col_of(v, placed) gives the column of vertex v when appended after the
-    placed tuple; interchangeable(u, v) says a transposition of the two
-    vertices is an automorphism, letting the search keep one.  Only the
-    vertices with the level's smallest column are tried, and a branch is cut
-    once its columns exceed the best tuple so far.  Given a target, the
-    search starts from it and returns None at the first level where some
-    placement reads out less than the target.
+    A DFS node holds the placed vertices and each free vertex's column over
+    them; grow(free, cols, u, placed) gives the free vertices' columns once
+    u takes the next slot.  Only the vertices with the level's smallest
+    column are tried, and of those that interchangeable(u, v) pairs up,
+    only the first.  The path from the root reads out a prefix that either
+    ties the best tuple so far, when only the level's own entry needs
+    comparing, or is below it, which happens only on the way to the first
+    leaf below a node; a branch is cut at the first level that reads out
+    more than the best tuple.  Given a target, the search starts from it,
+    compares each level's minimum with target[level] alone, and returns
+    None at the first level where some placement reads out less.
     """
-    twins = _twins(n, interchangeable)
-    best = target
+    twins: dict[int, int] = {}  # per vertex, a bit per vertex interchangeable with it
+    best = list(target)
+    prefix = [0] * n
 
-    def dfs(placed: tuple[int, ...], free: list[int], prefix: tuple[int, ...]) -> bool:
-        nonlocal best
-        if not free:
-            best = prefix
-            return True
-        cols = [col_of(v, placed) for v in free]
+    def dfs(placed: tuple[int, ...], free: list[int], cols: list[int], tie: bool) -> bool:
+        level = len(placed)
         low = min(cols)
-        prefix += (low,)
-        if best and prefix > best:
+        if tie and low != best[level]:
+            if low > best[level]:
+                return True
+            if target:
+                return False
+            tie = False
+        prefix[level] = low
+        if level == n - 1:
+            if not tie:
+                best[:] = prefix
             return True
-        if target and low < target[len(placed)]:
-            return False
         reps = 0
-        for v, col in zip(free, cols):
-            if col == low and not twins[v] & reps:
-                reps |= 1 << v
-                if not dfs(placed + (v,), [w for w in free if w != v], prefix):
-                    return False
+        for i, v in enumerate(free):
+            if cols[i] != low:
+                continue
+            if reps:
+                if v not in twins:
+                    twins[v] = sum(1 << u for u in range(n) if u != v and interchangeable(u, v))
+                if twins[v] & reps:
+                    continue
+            reps |= 1 << v
+            rest = free[:i] + free[i + 1 :]
+            grown = grow(rest, cols[:i] + cols[i + 1 :], v, placed)
+            if not dfs(placed + (v,), rest, grown, tie):
+                return False
+            tie = True  # best now runs through this node
         return True
 
-    return best if dfs((), list(range(n)), ()) else None
+    return tuple(best) if dfs((), list(range(n)), [0] * n, bool(target)) else None
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int, lead: int, rules_of) -> tuple[tuple[int, ...], ...]:
+def _classes(n: int, lead: int, extend, rules_of) -> tuple[tuple[int, ...], ...]:
     """Canonical column tuples on n points, in sorted order.
 
     The column of slot k has one bit per lead-subset of the earlier slots,
-    so the first lead levels are empty; rules_of(n, edges) gives the
-    col_of and interchangeable callbacks of a structure.
+    so the first lead levels are empty.  extend(state, col) adds a point
+    with column col to a structure's state (its adjacency rows or links),
+    and rules_of(state) gives its grow and interchangeable callbacks.  The
+    placement that keeps the parent's first n-2 slots and puts the new
+    point in slot n-2 reads out the parent's columns up to there; a child
+    whose new point then reads out less than the parent's last column is
+    not minimal, and is rejected before the search.
     """
     if n <= lead:
         return ((),)
+    empty: list = []
+    for _ in range(n - 1):
+        empty = extend(empty, 0)
+    # what the new point reads out over slots 0..n-3 depends on its column alone
+    head = tuple(range(n - 2))
+    heads = []
+    for col in range(1 << comb(n - 1, lead)):
+        grow = rules_of(extend(empty, col))[0]
+        c = [0]
+        for u in head:
+            c = grow([n - 1], c, u, head[:u])
+        heads.append(c[0])
     out = []
-    for parent in _classes(n - 1, lead, rules_of):
-        for col in range(1 << comb(n - 1, lead)):
-            cols = (*parent, col)
-            rules = rules_of(n, _edges(n, lead, cols))
-            if _min_placement(n, *rules, (0,) * lead + cols):
-                out.append(cols)
+    for parent in _classes(n - 1, lead, extend, rules_of):
+        base: list = []
+        for col in (0,) * lead + parent:
+            base = extend(base, col)
+        target = (0,) * lead + parent
+        for col, c in enumerate(heads):
+            if c >= target[-1] and _min_placement(
+                n, *rules_of(extend(base, col)), (*target, col)
+            ):
+                out.append((*parent, col))
     return tuple(out)
 
 
@@ -111,32 +147,32 @@ def _edges(n: int, lead: int, cols: tuple[int, ...]) -> list[tuple[int, ...]]:
     return edges
 
 
-def _graph_rules(n: int, edges):
-    """Callbacks over adjacency rows; a column lists the placed slots, first most significant."""
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+def _graph_extend(adj: list[int], col: int) -> list[int]:
+    """Adjacency rows with a new last vertex joined to the slots col lists."""
+    k = len(adj)
+    rows = [row | (col >> (k - 1 - u) & 1) << k for u, row in enumerate(adj)]
+    rows.append(sum(1 << u for u, row in enumerate(rows) if row >> k & 1))
+    return rows
 
-    def col_of(v: int, placed: tuple[int, ...]) -> int:
-        row = adj[v]
-        col = 0
-        for w in placed:
-            col = col << 1 | (row >> w & 1)
-        return col
+
+def _graph_rules(adj: list[int]):
+    """Callbacks over adjacency rows; a column lists the placed slots, first most significant."""
+
+    def grow(free: list[int], cols: list[int], u: int, placed) -> list[int]:
+        row = adj[u]
+        return [c << 1 | (row >> w & 1) for w, c in zip(free, cols)]
 
     def interchangeable(u: int, v: int) -> bool:
         return adj[u] & ~(1 << v) == adj[v] & ~(1 << u)
 
-    return col_of, interchangeable
+    return grow, interchangeable
 
 
 def canonical_graph_cols(n: int, adj: Sequence[int]) -> tuple[int, ...]:
     """Canonical form of a graph: per-slot adjacency columns, minimized."""
     if n == 1:
         return ()
-    edges = [(u, v) for u, v in combinations(range(n), 2) if adj[u] >> v & 1]
-    return _min_placement(n, *_graph_rules(n, edges))[1:]  # level 0 is empty
+    return _min_placement(n, *_graph_rules(list(adj)))[1:]  # level 0 is empty
 
 
 def graph_from_cols(n: int, cols: tuple[int, ...]) -> Graph:
@@ -144,7 +180,7 @@ def graph_from_cols(n: int, cols: tuple[int, ...]) -> Graph:
 
 
 def _graph_classes(n: int) -> tuple[tuple[int, ...], ...]:
-    return _classes(n, 1, _graph_rules)
+    return _classes(n, 1, _graph_extend, _graph_rules)
 
 
 def enum_graphs(n: int, connected: bool = False) -> list[Graph]:
@@ -157,40 +193,84 @@ def enum_graphs(n: int, connected: bool = False) -> list[Graph]:
     return graphs
 
 
-def _triple_rules(n: int, edges):
+def _triple_extend(link: list[list[int]], col: int) -> list[list[int]]:
+    """Links with a new last vertex on an edge with each pair of slots col lists."""
+    k = len(link)
+    link = [row + [0] for row in link]
+    link.append([0] * (k + 1))
+    for b, (i, j) in enumerate(_subsets(k, 2)):
+        if col >> b & 1:
+            _link_triple(link, (i, j, k))
+    return link
+
+
+def _link_triple(link: list[list[int]], t: tuple[int, ...]) -> None:
+    """Record the edge t in the links of its three vertices."""
+    for v, a, b in ((t[0], t[1], t[2]), (t[1], t[0], t[2]), (t[2], t[0], t[1])):
+        link[v][a] |= 1 << b
+        link[v][b] |= 1 << a
+
+
+@lru_cache(maxsize=None)
+def _spread(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """How placing slot k grows a triple column over slots 0..k-1.
+
+    Placing slot k appends the pair (i, k) to the end of group i, the pairs
+    (i, j) in the column, which then starts at bit C(k - i, 2).  Returns,
+    per column over k slots, its bits moved to their new places, and per i
+    the bit of the pair (i, k).
+    """
+    table = []
+    for col in range(1 << comb(k, 2)):
+        out = 0
+        for i in range(k - 1):
+            group = col >> comb(k - 1 - i, 2) & (1 << k - 1 - i) - 1
+            out |= group << 1 + comb(k - i, 2)
+        table.append(out)
+    return tuple(table), tuple(1 << comb(k - i, 2) for i in range(k))
+
+
+def _triple_rules(link: list[list[int]]):
     """Callbacks over links: link[v][a] is the bitmask of b with {v,a,b} an edge.
 
     A column lists the pairs i < j of placed slots lexicographically, first
     pair most significant, so smaller columns mean sparser early slots.
     """
-    link = [[0] * n for _ in range(n)]
-    for t in edges:
-        for v, a, b in ((t[0], t[1], t[2]), (t[1], t[0], t[2]), (t[2], t[0], t[1])):
-            link[v][a] |= 1 << b
-            link[v][b] |= 1 << a
 
-    def col_of(v: int, placed: tuple[int, ...]) -> int:
-        lv = link[v]
-        col = 0
-        for i, a in enumerate(placed):
-            row = lv[a]
-            for b in placed[i + 1:]:
-                col = col << 1 | (row >> b & 1)
-        return col
+    def grow(free: list[int], cols: list[int], u: int, placed) -> list[int]:
+        spread, ends = _spread(len(placed))
+        lu = link[u]
+        marks = list(zip(placed, ends))
+        grown = []
+        for w, c in zip(free, cols):
+            row = lu[w]
+            c = spread[c]
+            if row:
+                for p, bit in marks:
+                    if row >> p & 1:
+                        c |= bit
+            grown.append(c)
+        return grown
 
     def interchangeable(u: int, v: int) -> bool:
         # edges holding both u and v are fixed by the swap
-        lu, lv, mu, mv = link[u], link[v], ~(1 << v), ~(1 << u)
-        return all(lu[a] & mu == lv[a] & mv for a in range(n) if a != u and a != v)
+        mu, mv = ~(1 << v), ~(1 << u)
+        lu = [row & mu for row in link[u]]
+        lv = [row & mv for row in link[v]]
+        lu[v] = lv[u] = 0
+        return lu == lv
 
-    return col_of, interchangeable
+    return grow, interchangeable
 
 
 def canonical_triples_cols(n: int, edges: frozenset[tuple[int, int, int]]) -> tuple[int, ...]:
     """Canonical form of a triple system, analogous to the graph columns."""
     if n <= 2:
         return ()
-    return _min_placement(n, *_triple_rules(n, edges))[2:]  # levels 0, 1 are empty
+    link = [[0] * n for _ in range(n)]
+    for t in edges:
+        _link_triple(link, t)
+    return _min_placement(n, *_triple_rules(link))[2:]  # levels 0, 1 are empty
 
 
 def triples_from_cols(n: int, cols: tuple[int, ...]) -> TripleSystem:
@@ -198,7 +278,7 @@ def triples_from_cols(n: int, cols: tuple[int, ...]) -> TripleSystem:
 
 
 def _triple_classes(n: int) -> tuple[tuple[int, ...], ...]:
-    return _classes(n, 2, _triple_rules)
+    return _classes(n, 2, _triple_extend, _triple_rules)
 
 
 def enum_triple_systems(n: int) -> list[TripleSystem]:

@@ -28,7 +28,9 @@ A branch that is not skipped is decided exactly.  A cheap presolve first
 looks for a cycle in the forced strict orderings (the outer pair of an
 edge must exceed both inner pairs); a cycle certifies margin 0 without
 touching the simplex.  The remaining branches are eliminated down to their
-free coordinates and handed to the integer-pivoting solver.
+free coordinates by fraction-free Gauss-Jordan elimination, which writes
+every pair distance as an integer combination of the free ones over one
+common denominator, and are handed to the integer-pivoting solver.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .errors import BadParams, SizeCap, SolverFailure, TooFewPoints, TooManyAssignments
 from .lp import maximize_scaled
@@ -109,21 +111,33 @@ def _ordering_cycle(choices: list[tuple[int, int, int]]) -> bool:
 
 def _eliminate(
     npairs: int, eq_rows: list[list[int]]
-) -> tuple[list[int], list[list[Fraction]]]:
+) -> tuple[list[int], list[list[int]], int]:
     """Reduce the homogeneous equalities, expressing every pair over free pairs.
 
-    Returns the free pair indices and, for each pair, its coefficient
-    vector over the free pairs.  Outer-pair columns are preferred as pivots
-    so that expressions tend to stay nonnegative combinations.
+    Gauss-Jordan elimination over the integers: a row is reduced by a pivot
+    row as row*pc - f*prow, where pc is the pivot row's pivot entry, which
+    is kept positive, and every new or updated row is divided by the gcd of
+    its entries.  Only positive factors are ever applied, so each row is a
+    positive multiple of the row that exact rational elimination would
+    hold: the signs, the pivot columns and the reduced row echelon form are
+    the same.  The pivot of a row is its last negative entry, else its
+    first nonzero one, so outer-pair columns are preferred and expressions
+    tend to stay nonnegative combinations.
+
+    Returns the free pair indices, each pair's integer coefficients over
+    the free pairs and their common denominator scale: pair p equals
+    exprs[p] . x_free / scale.  A reduced row has gcd 1 and is zero on the
+    other pivot columns, so its rational coefficients have denominators
+    dividing its pivot entry, with the pivot entry their lcm; scale is the
+    lcm of the pivot entries, the least denominator clearing every row.
     """
-    rows = [[Fraction(v) for v in r] for r in eq_rows]
-    pivots: dict[int, list[Fraction]] = {}
-    for row in rows:
+    pivots: dict[int, list[int]] = {}
+    for row in eq_rows:
         for col, prow in pivots.items():
             f = row[col]
             if f:
-                for j in range(npairs):
-                    row[j] -= f * prow[j]
+                pc = prow[col]
+                row = [v * pc - f * w for v, w in zip(row, prow)]
         col = -1
         for j in range(npairs - 1, -1, -1):
             if row[j] < 0:
@@ -136,27 +150,29 @@ def _eliminate(
                     break
         if col < 0:
             continue  # redundant equality
-        piv = row[col]
-        prow = [v / piv for v in row]
+        g = gcd(*row)
+        if row[col] < 0:
+            g = -g
+        row = [v // g for v in row]
+        pc = row[col]
         for other_col, other in pivots.items():
             f = other[col]
             if f:
-                for j in range(npairs):
-                    other[j] -= f * prow[j]
-        pivots[col] = prow
+                other = [v * pc - f * w for v, w in zip(other, row)]
+                g = gcd(*other)
+                pivots[other_col] = [v // g for v in other]
+        pivots[col] = row
     free = [j for j in range(npairs) if j not in pivots]
-    fpos = {j: k for k, j in enumerate(free)}
-    exprs: list[list[Fraction]] = []
-    zero = Fraction(0)
+    scale = lcm(*(prow[col] for col, prow in pivots.items()))
+    exprs: list[list[int]] = []
     for p in range(npairs):
-        if p in fpos:
-            vec = [zero] * len(free)
-            vec[fpos[p]] = Fraction(1)
+        prow = pivots.get(p)
+        if prow is None:
+            exprs.append([scale if j == p else 0 for j in free])
         else:
-            prow = pivots[p]
-            vec = [-prow[j] for j in free]
-        exprs.append(vec)
-    return free, exprs
+            k = scale // prow[p]
+            exprs.append([-k * prow[j] for j in free])
+    return free, exprs, scale
 
 
 def _decide_branch(
@@ -186,16 +202,8 @@ def _decide_branch(
         row[i2] += 1
         row[out] -= 1
         eq_rows.append(row)
-    free, fexprs = _eliminate(npairs, eq_rows)
+    free, exprs, scale = _eliminate(npairs, eq_rows)
     k = len(free)
-
-    # scale every expression by one common denominator so all the rows the
-    # solver sees are integers from the start
-    scale = 1
-    for vec in fexprs:
-        for v in vec:
-            scale = scale * v.denominator // gcd(scale, v.denominator)
-    exprs = [[int(v * scale) for v in vec] for vec in fexprs]
 
     # substitute z_f = x_f - margin:  x_p = sum_f C_pf z_f + S_p * margin
     # with S_p = sum_f C_pf, so z >= 0 absorbs the free positivity rows

@@ -2,9 +2,10 @@
 
 Everything here is written directly from the definitions, independently of
 the package internals, so the tests compare two routes to the same answer.
-The one exception is the generate-and-dedup enumerator at the end, which
-canonicalizes through the package's full placement search: it is the slow
-route that orderly generation replaced.
+Two references are former package code kept as the slow route that a
+faster one replaced: the rational elimination of the metrizability LP, and
+the generate-and-dedup enumerator at the end, which canonicalizes through
+the package's full placement search.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from metriclines import (
     AsymmetryError,
@@ -169,3 +171,53 @@ def dedup_triple_classes(n: int) -> tuple[tuple[int, ...], ...]:
             new = {(i, j, n - 1) for t, (i, j) in enumerate(pair_list) if sub >> t & 1}
             found.add(canonical_triples_cols(n, base | new))
     return tuple(sorted(found))
+
+
+def fraction_eliminate(npairs: int, eq_rows: list[list[int]]):
+    """Rational Gauss-Jordan reference for feasibility._eliminate.
+
+    Pivots on the last negative entry, else the first nonzero one, keeps
+    pivot rows normalized to pivot 1 and fully reduced, then clears the
+    denominators of the free-pair expressions with their lcm.  Returns
+    (free, exprs, scale) as the integer routine does.
+    """
+    rows = [[Fraction(v) for v in r] for r in eq_rows]
+    pivots: dict[int, list[Fraction]] = {}
+    for row in rows:
+        for col, prow in pivots.items():
+            f = row[col]
+            if f:
+                for j in range(npairs):
+                    row[j] -= f * prow[j]
+        col = -1
+        for j in range(npairs - 1, -1, -1):
+            if row[j] < 0:
+                col = j
+                break
+        if col < 0:
+            for j in range(npairs):
+                if row[j]:
+                    col = j
+                    break
+        if col < 0:
+            continue
+        piv = row[col]
+        prow = [v / piv for v in row]
+        for other in pivots.values():
+            f = other[col]
+            if f:
+                for j in range(npairs):
+                    other[j] -= f * prow[j]
+        pivots[col] = prow
+    free = [j for j in range(npairs) if j not in pivots]
+    fexprs = []
+    for p in range(npairs):
+        if p in pivots:
+            fexprs.append([-pivots[p][j] for j in free])
+        else:
+            fexprs.append([Fraction(int(j == p)) for j in free])
+    scale = 1
+    for vec in fexprs:
+        for v in vec:
+            scale = scale * v.denominator // gcd(scale, v.denominator)
+    return free, [[int(v * scale) for v in vec] for vec in fexprs], scale

@@ -177,11 +177,36 @@ class TestConstructVerb:
             ("-2", "1", "need at least one point, got -2"),
             ("3", "0", "distance must be positive, got 0"),
             ("3", "-3", "distance must be positive, got -3"),
+            ("3", "-1/2", "distance must be positive, got -1/2"),
         ],
     )
     def test_bad_uniform_params_are_usage(self, n, c, message, capsys):
         assert run_main("construct", "uniform", n, c) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-o", "OUT", "4", "3/2"],
+            ["4", "-o", "OUT", "3/2"],
+            ["4", "3/2", "-o", "OUT"],
+            ["--output", "OUT", "4", "3/2"],
+        ],
+    )
+    def test_output_option_anywhere_among_params(self, argv, tmp_path, capsys):
+        assert run_main("construct", "uniform", "4", "3/2") == 0
+        expected = capsys.readouterr().out
+        target = tmp_path / "uniform.txt"
+        argv = [str(target) if a == "OUT" else a for a in argv]
+        assert run_main("construct", "uniform", *argv) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_text() == expected
+
+    def test_unknown_option_is_still_rejected(self, pentagon_file, capsys):
+        assert run_main("construct", "uniform", "3", "1", "--bogus") == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert run_main("lines", pentagon_file, "-1") == 2
+        assert "unrecognized arguments: -1" in capsys.readouterr().err
 
 
 class TestSearchVerb:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -30,6 +31,29 @@ GRAPH_COUNTS = [1, 2, 4, 11, 34, 156, 1044, 12346]
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 # class counts for 3-uniform hypergraphs, n = 3..5 (n = 6 tested separately)
 TRIPLE_COUNTS = {3: 2, 4: 5, 5: 34}
+
+# sha256 of repr(_graph_classes(n)) and repr(_triple_classes(n)), recorded
+# from the generator that recomputed every column at every placement node:
+# they pin each tuple and its position beyond the sizes the dedup oracle
+# reaches
+GRAPH_CLASS_SHA256 = {
+    1: "6af22f1bc2d94295cb210c6a0734b0d7459c92909665da49d949785ecea55bf8",
+    2: "7b0d574730ade655e7410b09ecdb1fb6d94c828aa7f38657aa188e838149cee9",
+    3: "26d204546d766cdc542ff08304dffd524bec6639555290c905264861fa7c9358",
+    4: "c150530ee3504309eb9dff879081efdecdf44a4233463f54ca78c42a4a5790b0",
+    5: "9c0da8e2cf000c46432b57f597b8aacdf5e579d8dd45b16816496fa3ad99bb2a",
+    6: "44c530a0489cdc764e6da7d60bb7e07fd32d0e43af7f900315d0bfa07b07767c",
+    7: "180ed30dba756fd8f370032a0f3f511e43dd5e7597b5f8a9ef3ffd0d4748bec5",
+    8: "dee690a989a538c434b856d667ef245e58fc950e01d91bc92f85f2e0c6547a49",
+}
+TRIPLE_CLASS_SHA256 = {
+    1: "6af22f1bc2d94295cb210c6a0734b0d7459c92909665da49d949785ecea55bf8",
+    2: "6af22f1bc2d94295cb210c6a0734b0d7459c92909665da49d949785ecea55bf8",
+    3: "7b0d574730ade655e7410b09ecdb1fb6d94c828aa7f38657aa188e838149cee9",
+    4: "0af925a736d1ed24a6b90e45bc9728901402ae8359a07c8b29fbc1966069f69e",
+    5: "c9fbf1c5abe19a99f758e2bedc6116e3f2e72cd76f136ddfc364dc7e1206d819",
+    6: "0f26de6a15944ed3116276363402d003dc8817548bb193d7e607da5eae701da4",
+}
 
 
 class TestGraphCounts:
@@ -86,6 +110,16 @@ class TestOrderlyGeneration:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_triple_classes_match_dedup(self, n):
         assert _triple_classes(n) == helpers.dedup_triple_classes(n)
+
+    @pytest.mark.parametrize("n", sorted(GRAPH_CLASS_SHA256))
+    def test_graph_order_pinned(self, n):
+        digest = hashlib.sha256(repr(_graph_classes(n)).encode()).hexdigest()
+        assert digest == GRAPH_CLASS_SHA256[n]
+
+    @pytest.mark.parametrize("n", sorted(TRIPLE_CLASS_SHA256))
+    def test_triple_order_pinned(self, n):
+        digest = hashlib.sha256(repr(_triple_classes(n)).encode()).hexdigest()
+        assert digest == TRIPLE_CLASS_SHA256[n]
 
     def test_atlas_bijection(self):
         import networkx as nx

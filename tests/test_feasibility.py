@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -21,7 +22,17 @@ from metriclines import (
     triple_system,
 )
 from metriclines.extremal import pentagon
-from metriclines.feasibility import MAX_METRIZABLE_N, _automorphisms, _Problem, _scan
+from metriclines.feasibility import (
+    MAX_METRIZABLE_N,
+    _automorphisms,
+    _edge_options,
+    _eliminate,
+    _pairs,
+    _Problem,
+    _scan,
+)
+
+import helpers
 
 
 class TestSmallDecisions:
@@ -200,3 +211,44 @@ class TestSymmetryReduction:
         autos = _automorphisms(edges)
         assert time.perf_counter() - t0 < 1.0
         assert 1 < len(autos) <= 1024
+
+
+def branch_rows(T):
+    """The equality rows of every middle assignment on T."""
+    pairs, pidx = _pairs(T.n)
+    opts = _edge_options(_Problem(T.n, Fraction(1), T.sorted_edges()), pidx)
+    for choice in itertools.product(*opts):
+        rows = []
+        for i1, i2, out in choice:
+            row = [0] * len(pairs)
+            row[i1] += 1
+            row[i2] += 1
+            row[out] -= 1
+            rows.append(row)
+        yield len(pairs), rows
+
+
+def seeded_six_point_systems(count):
+    rng = random.Random(0)
+    triples = list(itertools.combinations(range(6), 3))
+    return [triple_system(6, rng.sample(triples, rng.randint(4, 5))) for _ in range(count)]
+
+
+class TestElimination:
+    """The integer elimination against the rational reference, branch by branch."""
+
+    @pytest.mark.parametrize(
+        "systems",
+        [
+            pytest.param(
+                lambda: [T for T in enum_triple_systems(5) if len(T.edges) <= 6], id="n5"
+            ),
+            pytest.param(lambda: [fano()], id="fano"),
+            pytest.param(lambda: seeded_six_point_systems(20), id="n6-seeded"),
+        ],
+    )
+    def test_matches_rational_elimination(self, systems):
+        for T in systems():
+            for npairs, rows in branch_rows(T):
+                got = _eliminate(npairs, [list(r) for r in rows])
+                assert got == helpers.fraction_eliminate(npairs, rows)

@@ -32,6 +32,9 @@ INPUTS = GOLDEN / "inputs"
 METRICS = ("pentagon", "groups_3_3", "rational12", "path6_metric", "cycle7_metric")
 GRAPHS = ("path6", "cycle7")
 SYSTEMS = ("triples3",)
+# Fano is not metrizable; triples6 and triples8 find their first feasible
+# branch at 134 and 758, so their witnesses pin the elimination's output
+METRIZABLE = (*SYSTEMS, "fano", "triples6", "triples8")
 
 # (case name, argv after --format json, input file or None, expected exit code)
 CASES = (
@@ -48,7 +51,7 @@ CASES = (
         for g in GRAPHS
     ),
     *((f"hyperlines-{s}", ["hyperlines"], s, 0) for s in SYSTEMS),
-    *((f"metrizable-{s}", ["metrizable"], s, 0) for s in SYSTEMS),
+    *((f"metrizable-{s}", ["metrizable"], s, 0) for s in METRIZABLE),
     ("scan-7", ["scan", "7"], None, 0),
     ("search-hypergraphs-5", ["search", "hypergraphs", "5"], None, 0),
     ("search-one_two-6", ["search", "one_two", "6"], None, 0),
