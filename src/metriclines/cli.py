@@ -68,14 +68,13 @@ def _print(text: str) -> None:
 
 
 def _family_output(fam, fmt: str) -> str:
-    sets = fam.point_sets()
     universal = fam.has_universal()
     if fmt == "json":
         return _canonical_json(
             {
                 "count": fam.count,
                 "universal": universal,
-                "lines": [list(pts) for pts in sets],
+                "lines": [list(pts) for pts in fam.lines],
             }
         )
     rows = [
@@ -83,7 +82,7 @@ def _family_output(fam, fmt: str) -> str:
         f"# universal\t{'true' if universal else 'false'}",
         "index\tpoints",
     ]
-    rows.extend(f"{i}\t{_points_str(pts)}" for i, pts in enumerate(sets))
+    rows.extend(f"{i}\t{_points_str(pts)}" for i, pts in enumerate(fam.lines))
     return "\n".join(rows)
 
 

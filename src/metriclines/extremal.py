@@ -281,9 +281,9 @@ def equal_line_class(
         raise XInsideT(x)
     members = sorted(tset)
     check_points(n, *members)
-    classes: dict[tuple[int, ...], list[int]] = {}
+    classes: dict[frozenset[int], list[int]] = {}
     for v in members:
-        classes.setdefault(line(family_source, x, v).sorted_points(), []).append(v)
+        classes.setdefault(line(family_source, x, v), []).append(v)
     if not classes:
         return frozenset()
     best = min(classes.values(), key=lambda members: (-len(members), members))

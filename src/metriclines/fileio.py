@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import lt
 
 from .errors import BadParams, ParseError
 from .graphs import Graph, graph_from_edges
@@ -40,47 +41,51 @@ def parse_rational(token: str) -> Fraction:
     return Fraction(int(token))
 
 
-def _lines_with_tokens(text: str) -> list[tuple[int, list[tuple[int, str]]]]:
-    """Non-blank lines as (1-based line number, [(1-based column, token), ...])."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = [(m.start() + 1, m.group()) for m in _TOKEN.finditer(raw)]
-        if toks:
-            out.append((lineno, toks))
-    return out
+def _rows(text: str) -> list[tuple[int, str, list[str]]]:
+    """Non-blank lines as (1-based line number, line, its tokens)."""
+    return [(i, raw, toks) for i, raw in enumerate(text.splitlines(), 1) if (toks := raw.split())]
 
 
-def _parse_int(source: str, lineno: int, col: int, token: str, what: str) -> int:
-    if not _INT.fullmatch(token):
-        raise ParseError(source, lineno, col, f"{what} must be an integer, got {token!r}")
-    return int(token)
+def _col(raw: str, k: int) -> int:
+    """1-based column of token k of raw, or just past its last token if it has fewer."""
+    spans = [m.span() for m in _TOKEN.finditer(raw)]
+    return spans[k][0] + 1 if k < len(spans) else spans[-1][1] + 1
+
+
+def _parse_ints(
+    source: str, lineno: int, raw: str, toks: list[str], names: tuple[str, ...]
+) -> tuple[int, ...]:
+    """Every token as an int; names[k] names token k if it is the first that is not one."""
+    if not all(map(_INT.fullmatch, toks)):
+        k, tok = next((k, tok) for k, tok in enumerate(toks) if not _INT.fullmatch(tok))
+        raise ParseError(source, lineno, _col(raw, k), f"{names[k]} must be an integer, got {tok!r}")
+    return tuple(map(int, toks))
 
 
 def load_metric_text(text: str, source: str = "<string>") -> MetricSpace:
-    rows_in = _lines_with_tokens(text)
+    rows_in = _rows(text)
     if not rows_in:
         raise ParseError(source, 1, 1, "empty input")
-    lineno, toks = rows_in[0]
+    lineno, raw, toks = rows_in[0]
     if len(toks) != 1:
-        raise ParseError(source, lineno, toks[1][0], "first line must hold n alone")
-    n = _parse_int(source, lineno, toks[0][0], toks[0][1], "n")
+        raise ParseError(source, lineno, _col(raw, 1), "first line must hold n alone")
+    (n,) = _parse_ints(source, lineno, raw, toks, ("n",))
     if n < 1:
-        raise ParseError(source, lineno, toks[0][0], f"n must be at least 1, got {n}")
+        raise ParseError(source, lineno, _col(raw, 0), f"n must be at least 1, got {n}")
     body = rows_in[1:]
     if len(body) != n:
         where = body[-1][0] + 1 if body else lineno + 1
         raise ParseError(source, where, 1, f"expected {n} rows, found {len(body)}")
     table: list[list[Fraction]] = []
-    for lineno, toks in body:
+    for lineno, raw, toks in body:
         if len(toks) != n:
-            col = toks[n][0] if len(toks) > n else toks[-1][0] + len(toks[-1][1])
-            raise ParseError(source, lineno, col, f"expected {n} values, found {len(toks)}")
+            raise ParseError(source, lineno, _col(raw, n), f"expected {n} values, found {len(toks)}")
         row = []
-        for col, tok in toks:
+        for k, tok in enumerate(toks):
             try:
                 row.append(parse_rational(tok))
             except BadParams as exc:
-                raise ParseError(source, lineno, col, str(exc)) from None
+                raise ParseError(source, lineno, _col(raw, k), str(exc)) from None
         table.append(row)
     return validate_metric(table)
 
@@ -95,41 +100,35 @@ def dump_metric(S: MetricSpace) -> str:
 def _load_edge_list(
     text: str, source: str, arity: int, kind: str
 ) -> tuple[int, list[tuple[int, ...]]]:
-    rows = _lines_with_tokens(text)
+    rows = _rows(text)
     if not rows:
         raise ParseError(source, 1, 1, "empty input")
-    lineno, toks = rows[0]
+    lineno, raw, toks = rows[0]
     if len(toks) != 2:
-        col = toks[2][0] if len(toks) > 2 else toks[-1][0] + len(toks[-1][1])
-        raise ParseError(source, lineno, col, "first line must hold n and m")
-    n = _parse_int(source, lineno, toks[0][0], toks[0][1], "n")
-    m = _parse_int(source, lineno, toks[1][0], toks[1][1], "m")
+        raise ParseError(source, lineno, _col(raw, 2), "first line must hold n and m")
+    n, m = _parse_ints(source, lineno, raw, toks, ("n", "m"))
     if n < 0 or m < 0:
-        raise ParseError(source, lineno, toks[0][0], "n and m must be nonnegative")
+        raise ParseError(source, lineno, _col(raw, 0), "n and m must be nonnegative")
     if n < 1:
-        raise ParseError(source, lineno, toks[0][0], f"n must be at least 1, got {n}")
+        raise ParseError(source, lineno, _col(raw, 0), f"n must be at least 1, got {n}")
     body = rows[1:]
     if len(body) != m:
         where = body[-1][0] + 1 if body else lineno + 1
         raise ParseError(source, where, 1, f"expected {m} {kind} lines, found {len(body)}")
     seen: set[tuple[int, ...]] = set()
     edges: list[tuple[int, ...]] = []
-    for lineno, toks in body:
+    names = ("vertex",) * arity
+    for lineno, raw, toks in body:
         if len(toks) != arity:
-            col = toks[arity][0] if len(toks) > arity else toks[-1][0] + len(toks[-1][1])
-            raise ParseError(source, lineno, col, f"expected {arity} vertices, found {len(toks)}")
-        vs = tuple(
-            _parse_int(source, lineno, col, tok, "vertex") for col, tok in toks
-        )
-        for (col, _), v in zip(toks, vs):
-            if not 0 <= v < n:
-                raise ParseError(source, lineno, col, f"vertex {v} out of range for n={n}")
-        if any(vs[i] >= vs[i + 1] for i in range(arity - 1)):
-            raise ParseError(
-                source, lineno, toks[0][0], f"{kind} must be strictly increasing: {' '.join(t for _, t in toks)}"
-            )
+            raise ParseError(source, lineno, _col(raw, arity), f"expected {arity} vertices, found {len(toks)}")
+        vs = _parse_ints(source, lineno, raw, toks, names)
+        if min(vs) < 0 or max(vs) >= n:
+            k, v = next((k, v) for k, v in enumerate(vs) if not 0 <= v < n)
+            raise ParseError(source, lineno, _col(raw, k), f"vertex {v} out of range for n={n}")
+        if not all(map(lt, vs, vs[1:])):
+            raise ParseError(source, lineno, _col(raw, 0), f"{kind} must be strictly increasing: {' '.join(toks)}")
         if vs in seen:
-            raise ParseError(source, lineno, toks[0][0], f"duplicate {kind}: {' '.join(t for _, t in toks)}")
+            raise ParseError(source, lineno, _col(raw, 0), f"duplicate {kind}: {' '.join(toks)}")
         seen.add(vs)
         edges.append(vs)
     return n, edges

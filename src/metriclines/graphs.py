@@ -226,12 +226,7 @@ def space_to_graph(S: MetricSpace) -> Graph:
 def are_twins(S: MetricSpace, u: int, v: int) -> bool:
     """d(u,v) = 2 and u, v agree with every other point."""
     check_pair(S.n, u, v)
-    _require_one_two(S)
-    if S.dist[u][v] != 2:
-        return False
-    return all(
-        S.dist[u][w] == S.dist[v][w] for w in range(S.n) if w != u and w != v
-    )
+    return (min(u, v), max(u, v)) in find_twins(S)
 
 
 def find_twins(S: MetricSpace) -> frozenset[tuple[int, int]]:
@@ -266,9 +261,7 @@ _CASE_ARITY = {"i": 4, "ii": 4, "iii": 4, "iv": 3, "v": 3, "vi": 3}
 
 
 def _has_other_twin(S: MetricSpace, p: int, excluded: int) -> bool:
-    return any(
-        w != p and w != excluded and are_twins(S, p, w) for w in range(S.n)
-    )
+    return any(p in pair and excluded not in pair for pair in find_twins(S))
 
 
 def distinct_line_case(
@@ -327,7 +320,7 @@ def distinct_line_case(
         u1, u2, u3 = points
         applies = d[u1][u2] == 2 and d[u2][u3] == 2
         pair_a, pair_b = (u1, u2), (u2, u3)
-    return applies, line_of(S, *pair_a).points != line_of(S, *pair_b).points
+    return applies, line_of(S, *pair_a) != line_of(S, *pair_b)
 
 
 def onetwo_line_masks(n: int, adj: Sequence[int]) -> list[int]:

@@ -4,11 +4,11 @@ Points are 0..n-1.  Distances are exact rationals (fractions.Fraction).
 Betweenness, d(a,b) + d(b,c) == d(a,c), does not change when every distance
 is multiplied by the lcm of the denominators, so it is decided exactly, with
 no floats, on that integer table.  int_metric_line_masks turns the table
-into one line bitmask per pair, and family_from_masks groups the masks.
+into one line bitmask per pair, and family_from_masks keeps the distinct ones.
 
-A line is identified by its point set alone.  The generating pairs are kept
-as metadata because reports want them, but two pairs generating the same set
-give one line.
+A line is its point set: a frozenset for a single line, a sorted tuple
+inside a family.  Two pairs that generate the same set give one line, and
+which pairs generated it is not kept.
 """
 
 from __future__ import annotations
@@ -56,49 +56,24 @@ class MetricSpace:
 
 
 @dataclass(frozen=True)
-class Line:
-    """A line of a space: its point set, plus every pair that generated it."""
-
-    points: frozenset[int]
-    generators: frozenset[tuple[int, int]]
-
-    def sorted_points(self) -> tuple[int, ...]:
-        return tuple(sorted(self.points))
-
-    def __contains__(self, p: int) -> bool:
-        return p in self.points
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True)
 class LineFamily:
     """All distinct lines of a space, in a canonical order.
 
-    Lines are sorted by their sorted point tuples, so the same family always
-    comes out in the same order regardless of how it was accumulated.
+    Each line is its sorted point tuple, and the lines are sorted, so the
+    same family always comes out in the same order regardless of how it was
+    accumulated.  pair_count is the number of pairs the lines came from.
     """
 
     n: int
-    lines: tuple[Line, ...]
+    lines: tuple[tuple[int, ...], ...]
     pair_count: int
-
-    def __len__(self) -> int:
-        return len(self.lines)
-
-    def __iter__(self):
-        return iter(self.lines)
 
     @property
     def count(self) -> int:
         return len(self.lines)
 
     def has_universal(self) -> bool:
-        return any(len(ln.points) == self.n for ln in self.lines)
-
-    def point_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(ln.sorted_points() for ln in self.lines)
+        return any(len(ln) == self.n for ln in self.lines)
 
 
 def validate_metric(rows: Sequence[Sequence[Fraction | int | str]]) -> MetricSpace:
@@ -174,16 +149,11 @@ def mask_points(mask: int) -> tuple[int, ...]:
 
 
 def family_from_masks(n: int, masks: Sequence[int]) -> LineFamily:
-    """Group per-pair line masks, pairs u < v in lexicographic order, into lines."""
-    by_mask: dict[int, list[tuple[int, int]]] = {}
-    for pair, mask in zip(combinations(range(n), 2), masks):
-        by_mask.setdefault(mask, []).append(pair)
-    keyed = sorted((mask_points(mask), gens) for mask, gens in by_mask.items())
-    lines = tuple(Line(frozenset(pts), frozenset(gens)) for pts, gens in keyed)
-    return LineFamily(n, lines, len(masks))
+    """The distinct lines among per-pair line masks, one mask per pair."""
+    return LineFamily(n, tuple(sorted(map(mask_points, set(masks)))), len(masks))
 
 
-def line_of(S: MetricSpace, u: int, v: int) -> Line:
+def line_of(S: MetricSpace, u: int, v: int) -> frozenset[int]:
     """The line through the pair u, v.
 
     It contains u and v, every p with [puv], every p with [upv], and every
@@ -191,9 +161,7 @@ def line_of(S: MetricSpace, u: int, v: int) -> Line:
     """
     check_pair(S.n, u, v)
     D = S.scaled
-    mask = _pair_mask(D[u], D[v], D[u][v])
-    key = (u, v) if u < v else (v, u)
-    return Line(frozenset(mask_points(mask)), frozenset({key}))
+    return frozenset(mask_points(_pair_mask(D[u], D[v], D[u][v])))
 
 
 def line_family(S: MetricSpace) -> LineFamily:

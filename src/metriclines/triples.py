@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BadParams, TooFewPoints, XInsideT, check_pair, check_points
-from .metric import Line, LineFamily, MetricSpace, family_from_masks, int_metric_line_masks, mask_points
+from .metric import LineFamily, MetricSpace, family_from_masks, int_metric_line_masks, mask_points
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,10 @@ def betweenness_triples(S: MetricSpace) -> TripleSystem:
     return TripleSystem(S.n, frozenset(edges))
 
 
-def hyper_line(T: TripleSystem, u: int, v: int) -> Line:
+def hyper_line(T: TripleSystem, u: int, v: int) -> frozenset[int]:
     """u, v, and every w such that {u,v,w} is an edge."""
     check_pair(T.n, u, v)
-    pts = {u, v} | {w for w in range(T.n) if T.has_edge(u, v, w)}
-    key = (u, v) if u < v else (v, u)
-    return Line(frozenset(pts), frozenset({key}))
+    return frozenset({u, v}.union(*(e for e in T.edges if u in e and v in e)))
 
 
 def triple_line_masks(T: TripleSystem) -> list[int]:
@@ -97,12 +95,9 @@ def vertex_signatures(T: TripleSystem) -> tuple[dict[int, frozenset[int]], bool]
     line is universal, and injectivity forces at least lg n distinct lines
     because n distinct subsets of the lines must exist.
     """
-    fam = hyper_line_family(T)
-    sig: dict[int, frozenset[int]] = {}
-    for x in range(T.n):
-        sig[x] = frozenset(i for i, ln in enumerate(fam.lines) if x in ln.points)
-    distinct = len(set(sig.values())) == T.n
-    return sig, distinct
+    lines = hyper_line_family(T).lines
+    sig = {x: frozenset(i for i, ln in enumerate(lines) if x in ln) for x in range(T.n)}
+    return sig, len(set(sig.values())) == T.n
 
 
 def k34_condition(T: TripleSystem, x: int, tset) -> bool:

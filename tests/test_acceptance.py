@@ -66,9 +66,9 @@ def test_criterion_01_pentagon_nesting():
         inner = line_of(S, 1, 3)
         outer = line_of(S, 2, 3)
         best = min(best, time.monotonic() - t0)
-    assert inner.points == {1, 2, 3}
-    assert outer.points == {1, 2, 3, 4}
-    assert inner.points < outer.points
+    assert inner == {1, 2, 3}
+    assert outer == {1, 2, 3, 4}
+    assert inner < outer
     assert best < 0.001
     report(1, best, "line(v,y)={v,x,y} strictly inside line(x,y)={v,x,y,z}")
 

@@ -51,7 +51,7 @@ class TestConstructions:
     def test_pentagon_line_count(self):
         fam = line_family(pentagon())
         assert fam.count == 10
-        assert not any(len(line) == 5 for line in fam)
+        assert not any(len(line) == 5 for line in fam.lines)
 
     def test_group_space_shape(self):
         S = group_space(3, 2)
@@ -124,7 +124,7 @@ class TestGroupLinePrediction:
         S = group_space(k, m)
         fam = line_family(S)
         assert fam.count == predicted_group_lines(k, m)
-        assert not any(len(line) == S.n for line in fam)
+        assert not any(len(line) == S.n for line in fam.lines)
 
     def test_small_parameters_rejected(self):
         for k, m in [(2, 3), (3, 2), (1, 1)]:

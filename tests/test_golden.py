@@ -1,14 +1,16 @@
-"""Golden outputs: the CLI's canonical JSON on a small fixed corpus.
+"""Golden outputs: the CLI's canonical JSON and TSV on a small fixed corpus.
 
-Each case runs one verb under ``--format json``, on an input file from
-``tests/golden/inputs`` or, for ``search``, ``scan`` and ``construct``, on
-no input at all, and compares stdout byte for byte with
-``tests/golden/<case>.json``.  ``construct`` writes its instance file to
-stdout whatever the format, so its goldens hold that file's text.  A case
-that exits nonzero also compares stderr with ``tests/golden/<case>.stderr``.
-The files were written once and are not regenerated by the tests, so any
-change in a line family, a triple list, a bound report, a metrizability
-verdict, a constructed instance or the canonical witness and order of an
+Each case runs one verb under ``--format json`` or ``--format tsv``, on an
+input file from ``tests/golden/inputs`` or, for ``search``, ``scan`` and
+``construct``, on no input at all, and compares stdout byte for byte with
+``tests/golden/<case>.<format>``.  ``construct`` writes its instance file
+to stdout whatever the format, so its goldens hold that file's text.  A
+case that exits nonzero also compares stderr with
+``tests/golden/<case>.stderr``; the parse-error cases pin the line and
+column that a malformed input file reports.  The files were written once
+and are not regenerated by the tests, so any change in a line family, a
+triple list, a bound report, a metrizability verdict, a constructed
+instance, a parse error or the canonical witness and order of an
 exhaustive search shows up here.
 
 To rewrite the files after a deliberate output change, run
@@ -36,50 +38,62 @@ SYSTEMS = ("triples3",)
 # branch at 134 and 758, so their witnesses pin the elimination's output
 METRIZABLE = (*SYSTEMS, "fano", "triples6", "triples8")
 
-# (case name, argv after --format json, input file or None, expected exit code)
+# (case name, output format, argv after --format, input file or None,
+# expected exit code)
 CASES = (
-    *((f"lines-{m}", ["lines"], m, 0) for m in METRICS),
-    *((f"triples-{m}", ["triples"], m, 0) for m in METRICS),
-    *((f"range-{m}", ["check", "range"], m, 0) for m in METRICS),
-    ("onetwo_lower-pentagon", ["check", "onetwo_lower"], "pentagon", 0),
-    ("onetwo_lower-groups_3_3", ["check", "onetwo_lower"], "groups_3_3", 0),
-    ("onetwo_lower-rational12", ["check", "onetwo_lower"], "rational12", 3),
-    ("onetwo_lower-cycle7_metric", ["check", "onetwo_lower"], "cycle7_metric", 3),
-    *((f"diam-{g}", ["check", "diam"], g, 3 if g == "path6" else 0) for g in GRAPHS),
+    *((f"lines-{m}", "json", ["lines"], m, 0) for m in METRICS),
+    *((f"triples-{m}", "json", ["triples"], m, 0) for m in METRICS),
+    *((f"range-{m}", "json", ["check", "range"], m, 0) for m in METRICS),
+    ("onetwo_lower-pentagon", "json", ["check", "onetwo_lower"], "pentagon", 0),
+    ("onetwo_lower-groups_3_3", "json", ["check", "onetwo_lower"], "groups_3_3", 0),
+    ("onetwo_lower-rational12", "json", ["check", "onetwo_lower"], "rational12", 3),
+    ("onetwo_lower-cycle7_metric", "json", ["check", "onetwo_lower"], "cycle7_metric", 3),
+    *((f"diam-{g}", "json", ["check", "diam"], g, 3 if g == "path6" else 0) for g in GRAPHS),
     *(
-        (f"graphs_corollary-{g}", ["check", "graphs_corollary"], g, 3 if g == "path6" else 0)
+        (f"graphs_corollary-{g}", "json", ["check", "graphs_corollary"], g, 3 if g == "path6" else 0)
         for g in GRAPHS
     ),
-    *((f"hyperlines-{s}", ["hyperlines"], s, 0) for s in SYSTEMS),
-    *((f"metrizable-{s}", ["metrizable"], s, 0) for s in METRIZABLE),
-    ("scan-7", ["scan", "7"], None, 0),
-    ("search-hypergraphs-5", ["search", "hypergraphs", "5"], None, 0),
-    ("search-one_two-6", ["search", "one_two", "6"], None, 0),
-    ("search-graph_metrics-6", ["search", "graph_metrics", "6"], None, 0),
-    ("construct-pentagon", ["construct", "pentagon"], None, 0),
-    ("construct-groups_3_3", ["construct", "groups", "3", "3"], None, 0),
-    ("construct-groups_balanced_12", ["construct", "groups_balanced", "12"], None, 0),
-    ("construct-path_5", ["construct", "path", "5"], None, 0),
-    ("construct-uniform_4_3_2", ["construct", "uniform", "4", "3/2"], None, 0),
-    ("construct-complete_4", ["construct", "complete", "4"], None, 0),
+    *((f"hyperlines-{s}", "json", ["hyperlines"], s, 0) for s in SYSTEMS),
+    *((f"metrizable-{s}", "json", ["metrizable"], s, 0) for s in METRIZABLE),
+    ("scan-7", "json", ["scan", "7"], None, 0),
+    ("search-hypergraphs-5", "json", ["search", "hypergraphs", "5"], None, 0),
+    ("search-one_two-6", "json", ["search", "one_two", "6"], None, 0),
+    ("search-graph_metrics-6", "json", ["search", "graph_metrics", "6"], None, 0),
+    ("construct-pentagon", "json", ["construct", "pentagon"], None, 0),
+    ("construct-groups_3_3", "json", ["construct", "groups", "3", "3"], None, 0),
+    ("construct-groups_balanced_12", "json", ["construct", "groups_balanced", "12"], None, 0),
+    ("construct-path_5", "json", ["construct", "path", "5"], None, 0),
+    ("construct-uniform_4_3_2", "json", ["construct", "uniform", "4", "3/2"], None, 0),
+    ("construct-complete_4", "json", ["construct", "complete", "4"], None, 0),
+    ("lines-pentagon", "tsv", ["lines"], "pentagon", 0),
+    ("lines-groups_3_3", "tsv", ["lines"], "groups_3_3", 0),
+    ("hyperlines-triples3", "tsv", ["hyperlines"], "triples3", 0),
+    # a vertex token int() would read as 10, and a row one value short
+    # followed by a trailing blank: the column lies just past its last value
+    ("parse-vertex_token", "json", ["hyperlines"], "bad_vertex_token", 3),
+    ("parse-short_row", "json", ["lines"], "short_row", 3),
 )
 
 
-def run_case(argv, name):
+def run_case(fmt, argv, name):
     """Exit code, stdout and stderr of one CLI call, on an input file if named."""
     path = [] if name is None else [str(INPUTS / f"{name}.txt")]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["--format", "json", *argv, *path])
+        code = main(["--format", fmt, *argv, *path])
     # the input path appears in error messages; keep goldens free of it
     return code, out.getvalue(), err.getvalue().replace(str(INPUTS), "<inputs>")
 
 
-@pytest.mark.parametrize("case,argv,name,code", CASES, ids=[c[0] for c in CASES])
-def test_golden_output(case, argv, name, code):
-    got_code, out, err = run_case(argv, name)
+@pytest.mark.parametrize(
+    "case,fmt,argv,name,code",
+    CASES,
+    ids=[case if fmt == "json" else f"{case}.{fmt}" for case, fmt, *_ in CASES],
+)
+def test_golden_output(case, fmt, argv, name, code):
+    got_code, out, err = run_case(fmt, argv, name)
     assert got_code == code
-    assert out == (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
+    assert out == (GOLDEN / f"{case}.{fmt}").read_text(encoding="utf-8")
     stderr_file = GOLDEN / f"{case}.stderr"
     if code:
         assert err == stderr_file.read_text(encoding="utf-8")
@@ -89,15 +103,15 @@ def test_golden_output(case, argv, name, code):
 
 def _write_all() -> None:
     """Rewrite every golden file from the current program."""
-    for case, argv, name, _ in CASES:
-        code, out, err = run_case(argv, name)
-        (GOLDEN / f"{case}.json").write_text(out, encoding="utf-8")
+    for case, fmt, argv, name, _ in CASES:
+        code, out, err = run_case(fmt, argv, name)
+        (GOLDEN / f"{case}.{fmt}").write_text(out, encoding="utf-8")
         stderr_file = GOLDEN / f"{case}.stderr"
         if code:
             stderr_file.write_text(err, encoding="utf-8")
         elif stderr_file.exists():
             stderr_file.unlink()
-        print(f"{case}: exit {code}")
+        print(f"{case}.{fmt}: exit {code}")
 
 
 if __name__ == "__main__":

@@ -87,7 +87,7 @@ class TestKernelMatchesDefinition:
         S = coprime_space(seed, 7)
         d = S.dist
         for u, v in itertools.permutations(range(S.n), 2):
-            assert line_of(S, u, v).points == oracle_line(d, u, v)
+            assert line_of(S, u, v) == oracle_line(d, u, v)
         for a, b, c in itertools.permutations(range(S.n), 3):
             assert between(S, a, b, c) == (d[a][b] + d[b][c] == d[a][c])
 
@@ -95,12 +95,11 @@ class TestKernelMatchesDefinition:
     def test_line_family(self, seed):
         S = coprime_space(seed, 8)
         fam = line_family(S)
-        by_points: dict[frozenset[int], set[tuple[int, int]]] = {}
-        for u, v in itertools.combinations(range(S.n), 2):
-            by_points.setdefault(oracle_line(S.dist, u, v), set()).add((u, v))
-        assert {ln.points: ln.generators for ln in fam} == by_points
-        assert set(by_points) == oracle_line_sets(S.dist)
-        assert list(fam.point_sets()) == sorted(tuple(sorted(p)) for p in by_points)
+        by_points = {
+            oracle_line(S.dist, u, v) for u, v in itertools.combinations(range(S.n), 2)
+        }
+        assert by_points == oracle_line_sets(S.dist)
+        assert list(fam.lines) == sorted(tuple(sorted(p)) for p in by_points)
         assert fam.pair_count == 28
 
     @pytest.mark.parametrize("seed", SEEDS)
