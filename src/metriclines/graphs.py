@@ -11,8 +11,12 @@ spells out when two generating pairs are forced to give different lines.
 
 Betweenness is decided exactly, with no floats, on integer tables: hop
 counts are integers already, and a space's integer-scaled table (see
-``metric``) feeds the same kernel, int_metric_line_masks.  The 1-2 line
-masks are the XOR/AND formulas on adjacency rows.
+``metric``) feeds the same kernel, int_metric_line_masks.  That kernel packs
+each distance row into one int, a byte per vertex while the diameter is
+below 64 and wider fields past it, and tests a pair against every vertex in
+a few big-integer operations; distinct_line_case compares the two pairs'
+masks from it.  The 1-2 line masks are the XOR/AND formulas on adjacency
+rows.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import (
     check_pair,
     check_points,
 )
-from .metric import MetricSpace, line_of, validate_metric
+from .metric import MetricSpace, pair_line_masks, validate_metric
 
 
 @dataclass(frozen=True)
@@ -320,7 +324,8 @@ def distinct_line_case(
         u1, u2, u3 = points
         applies = d[u1][u2] == 2 and d[u2][u3] == 2
         pair_a, pair_b = (u1, u2), (u2, u3)
-    return applies, line_of(S, *pair_a) != line_of(S, *pair_b)
+    mask_a, mask_b = pair_line_masks(S, [pair_a, pair_b])
+    return applies, mask_a != mask_b
 
 
 def onetwo_line_masks(n: int, adj: Sequence[int]) -> list[int]:

@@ -6,6 +6,19 @@ is multiplied by the lcm of the denominators, so it is decided exactly, with
 no floats, on that integer table.  int_metric_line_masks turns the table
 into one line bitmask per pair, and family_from_masks keeps the distinct ones.
 
+Packed rows.  The kernel and the triangle pass of validate_metric work on
+each row of the integer table packed into one Python int: entry w sits in a
+field of b = 8 * 2**k bits at bit b*w, with b chosen so that twice the
+largest entry is below 2**(b-1).  Sums of two rows then never carry from
+one field into the next, so one big-integer operation tests a pair (u, v)
+against every point at once.  For the line, each of the three betweenness
+equalities is a sum of rows XORed with d(u,v) in every field; adding the
+low b-1 bits of every field sets a field's top bit exactly when the field
+is nonzero, and the points whose top bit is clear in at least one of the
+three are the line.  For the triangle inequality, (row_i + row_j) with every
+top bit set, minus d(i,j) in every field, keeps every top bit exactly when
+no point k has d(i,k) + d(k,j) < d(i,j).
+
 A line is its point set: a frozenset for a single line, a sorted tuple
 inside a family.  Two pairs that generate the same set give one line, and
 which pairs generated it is not kept.
@@ -15,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
-from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     AsymmetryError,
@@ -37,7 +50,8 @@ class MetricSpace:
     """A validated finite metric space with exact rational distances.
 
     scaled is dist times scale, the lcm of its denominators; both derive
-    from dist and take no part in equality or hashing.
+    from dist and take no part in equality or hashing.  packed is scaled
+    with its rows packed for the kernel, built on first use.
     """
 
     n: int
@@ -53,6 +67,11 @@ class MetricSpace:
         )
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "scaled", scaled)
+
+    @cached_property
+    def packed(self) -> tuple[int, list[int]]:
+        """Bytes per field and the packed rows of scaled, as _packed_rows gives them."""
+        return _packed_rows(self.scaled)
 
 
 @dataclass(frozen=True)
@@ -103,13 +122,17 @@ def validate_metric(rows: Sequence[Sequence[Fraction | int | str]]) -> MetricSpa
                 raise AsymmetryError(i, j)
             if Di[j] <= 0:
                 raise NonpositiveDistance(i, j)
-    # k = i and k = j give d(i,j) itself, so the minimum over all k falls
-    # below d(i,j) exactly when some other k violates the inequality
+    # k = i and k = j give d(i,j) itself, so a top bit is lost exactly when
+    # some other k violates the inequality
+    size, packed = S.packed
+    ones = _ones(n, size)
+    top = ones << (8 * size - 1)
     for i in range(n):
         Di = D[i]
+        pi = packed[i]
         for j in range(i + 1, n):
             dij = Di[j]
-            if min(map(add, Di, D[j])) < dij:
+            if (((pi + packed[j]) | top) - dij * ones) & top != top:
                 k = next(k for k in range(n) if Di[k] + D[k][j] < dij)
                 raise TriangleViolation(i, j, k)
     return S
@@ -124,18 +147,79 @@ def between(S: MetricSpace, a: int, b: int, c: int) -> bool:
     return D[a][b] + D[b][c] == D[a][c]
 
 
-def _pair_mask(du: Sequence[int], dv: Sequence[int], duv: int) -> int:
-    """Line of u, v from their distance rows; u and v pass the test themselves."""
-    mask = 0
-    for w, a, b in zip(range(len(du)), du, dv):
-        if a + b == duv or a + duv == b or b + duv == a:
-            mask |= 1 << w
-    return mask
+def _packed_rows(rows: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
+    """Bytes per field, and each row packed into one int, entry w at field w.
+
+    The field is the smallest of 1, 2, 4, 8, ... bytes in which twice the
+    largest entry stays below the field's top bit.  Entries must be
+    nonnegative.
+    """
+    largest = max(map(max, rows))
+    size = 1
+    while largest >> (8 * size - 2):
+        size *= 2
+    if size == 1:
+        return size, [int.from_bytes(bytes(row), "little") for row in rows]
+    return size, [
+        int.from_bytes(b"".join([x.to_bytes(size, "little") for x in row]), "little")
+        for row in rows
+    ]
+
+
+def _ones(n: int, size: int) -> int:
+    """1 in each of n fields of size bytes."""
+    return int.from_bytes(b"\1".ljust(size, b"\0") * n, "little")
+
+
+# a field's top byte, as the ASCII digit of its point in the line mask:
+# "1" when the top bit is clear (some equality holds), "0" when it is set
+_DIGIT = b"1" * 0x80 + b"0" * 0x80
+
+
+def _line_masks(
+    n: int,
+    rows: Sequence[Sequence[int]],
+    size: int,
+    packed: Sequence[int],
+    pairs: Iterable[tuple[int, int]],
+) -> list[int]:
+    """Line bitmask of each pair, from the rows packed in fields of size bytes.
+
+    packed[u] is row u as _packed_rows packs it.  Each mask is built as a
+    string of binary digits, one per field, read off the fields' top bytes
+    in big-endian order.
+    """
+    ones = _ones(n, size)
+    low = ones * ((1 << (8 * size - 1)) - 1)
+    nbytes = n * size
+    out = []
+    for u, v in pairs:
+        pu = packed[u]
+        pv = packed[v]
+        d = rows[u][v] * ones
+        # top bit of field w: w is in none of [uwv], [wuv] and [uvw]
+        off = (((pu + pv) ^ d) + low) & (((pu + d) ^ pv) + low) & (((pv + d) ^ pu) + low)
+        out.append(int(off.to_bytes(nbytes, "big")[::size].translate(_DIGIT), 2))
+    return out
 
 
 def int_metric_line_masks(n: int, rows: Sequence[Sequence[int]]) -> list[int]:
-    """Line bitmasks for an integer-distance metric, one per pair u < v."""
-    return [_pair_mask(rows[u], rows[v], rows[u][v]) for u, v in combinations(range(n), 2)]
+    """Line bitmasks for an integer-distance metric, one per pair u < v.
+
+    Precondition: rows is an n by n table of nonnegative integers with a
+    zero diagonal.  Point w is on the line of u, v when one of d(u,w),
+    d(v,w) and d(u,v), read from rows u and v, is the sum of the other two;
+    with a symmetric table this puts u and v on their own line.
+    """
+    if n < 2:
+        return []
+    size, packed = _packed_rows(rows)
+    return _line_masks(n, rows, size, packed, combinations(range(n), 2))
+
+
+def pair_line_masks(S: MetricSpace, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Line bitmasks of the given pairs of S, from its packed rows."""
+    return _line_masks(S.n, S.scaled, *S.packed, pairs)
 
 
 def mask_points(mask: int) -> tuple[int, ...]:
@@ -160,8 +244,7 @@ def line_of(S: MetricSpace, u: int, v: int) -> frozenset[int]:
     p with [uvp].
     """
     check_pair(S.n, u, v)
-    D = S.scaled
-    return frozenset(mask_points(_pair_mask(D[u], D[v], D[u][v])))
+    return frozenset(mask_points(pair_line_masks(S, [(u, v)])[0]))
 
 
 def line_family(S: MetricSpace) -> LineFamily:

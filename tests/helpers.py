@@ -2,10 +2,11 @@
 
 Everything here is written directly from the definitions, independently of
 the package internals, so the tests compare two routes to the same answer.
-Two references are former package code kept as the slow route that a
-faster one replaced: the rational elimination of the metrizability LP, and
-the generate-and-dedup enumerator at the end, which canonicalizes through
-the package's full placement search.
+Three references are former package code kept as the slow route that a
+faster one replaced: the per-point line loop that the packed-row kernel
+replaced, the rational elimination of the metrizability LP, and the
+generate-and-dedup enumerator at the end, which canonicalizes through the
+package's full placement search.
 """
 
 from __future__ import annotations
@@ -48,6 +49,25 @@ def oracle_line(dist, u: int, v: int) -> frozenset[int]:
 def oracle_line_sets(dist) -> set[frozenset[int]]:
     """Distinct lines of a distance matrix, straight from the definition."""
     return {oracle_line(dist, u, v) for u, v in itertools.combinations(range(len(dist)), 2)}
+
+
+def reference_line_masks(n: int, rows) -> list[int]:
+    """Line bitmasks of an integer table, one per pair u < v, point by point.
+
+    The loop int_metric_line_masks ran before rows were packed: w is on the
+    line of u, v when one of the three sums of two of d(u,w), d(v,w) and
+    d(u,v) equals the third.
+    """
+    out = []
+    for u, v in itertools.combinations(range(n), 2):
+        du, dv, duv = rows[u], rows[v], rows[u][v]
+        mask = 0
+        for w in range(n):
+            a, b = du[w], dv[w]
+            if a + b == duv or a + duv == b or b + duv == a:
+                mask |= 1 << w
+        out.append(mask)
+    return out
 
 
 def oracle_triples(dist) -> set[tuple[int, int, int]]:

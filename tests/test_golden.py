@@ -31,8 +31,8 @@ from metriclines.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
 
-METRICS = ("pentagon", "groups_3_3", "rational12", "path6_metric", "cycle7_metric")
-GRAPHS = ("path6", "cycle7")
+METRICS = ("pentagon", "groups_3_3", "rational12", "path6_metric", "cycle7_metric", "wide9_metric")
+GRAPHS = ("path6", "cycle7", "cycle131")
 SYSTEMS = ("triples3",)
 # Fano is not metrizable; triples6 and triples8 find their first feasible
 # branch at 134 and 758, so their witnesses pin the elimination's output

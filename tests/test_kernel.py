@@ -4,6 +4,12 @@ Distances are drawn with pairwise coprime denominators (7, 11, 13, 9973), so
 the lcm that scales a space to integers runs into the millions and the
 shortest-path closure mixes denominators.  Lines, betweenness, triples and
 validation must still agree exactly with the definitions in helpers.
+
+The kernel packs each row into one int with fields of 1, 2, 4, 8, ... bytes,
+sized by the largest entry.  Its masks must equal the point-by-point
+reference on whole small universes, and tables whose largest entry sits on
+either side of each width change must give the reference's masks and
+validation errors.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclines import (
     MetricLinesError,
@@ -24,6 +32,7 @@ from metriclines import (
     between,
     betweenness_triples,
     check_bound,
+    enum_graphs,
     graph_from_edges,
     graph_to_space,
     is_one_two,
@@ -32,8 +41,17 @@ from metriclines import (
     space_to_graph,
     validate_metric,
 )
-from metriclines.graphs import first_non_one_two
-from helpers import floyd_closure, oracle_line, oracle_line_sets, oracle_triples, oracle_validate
+from metriclines.graphs import first_non_one_two, graph_dist_rows
+from metriclines.metric import _packed_rows, int_metric_line_masks, mask_points
+from helpers import (
+    floyd_closure,
+    labeled_graph_rows,
+    oracle_line,
+    oracle_line_sets,
+    oracle_triples,
+    oracle_validate,
+    reference_line_masks,
+)
 
 DENOMINATORS = (7, 11, 13, 9973)
 
@@ -74,6 +92,9 @@ class TestScaledTable:
         assert again == S and hash(again) == hash(S)
         assert again.scaled == S.scaled
         assert "scaled" not in repr(S)
+        # validation packed the rows of S, not yet those of again
+        assert "packed" in vars(S) and "packed" not in vars(again)
+        assert again.packed == S.packed and again == S and "packed" not in repr(S)
 
     def test_spaces_built_directly_carry_the_table(self):
         S = graph_to_space(graph_from_edges(4, [(0, 1), (1, 2)]))
@@ -197,3 +218,141 @@ class TestOneTwoCheck:
         S = graph_to_space(graph_from_edges(5, [(0, 1), (2, 3)]))
         assert first_non_one_two(S) is None and is_one_two(S)
         assert check_bound(S, "onetwo_lower").lines_found == line_family(S).count
+
+
+def one_two_rows(adj_rows) -> list[list[int]]:
+    """The 1-2 table of a graph given by its 0/1 adjacency rows."""
+    n = len(adj_rows)
+    return [[0 if i == j else 2 - adj_rows[i][j] for j in range(n)] for i in range(n)]
+
+
+class TestPackedKernelMatchesReference:
+    def test_connected_graph_metrics(self):
+        for n in range(1, 8):
+            for G in enum_graphs(n, connected=True):
+                rows = graph_dist_rows(G)
+                assert int_metric_line_masks(n, rows) == reference_line_masks(n, rows), G.adj
+
+    def test_one_two_spaces_of_every_labeled_graph(self):
+        for n in range(1, 7):
+            for adj_rows in labeled_graph_rows(n):
+                rows = one_two_rows(adj_rows)
+                assert int_metric_line_masks(n, rows) == reference_line_masks(n, rows), rows
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_coprime_spaces(self, seed):
+        S = coprime_space(seed, 8)
+        assert int_metric_line_masks(S.n, S.scaled) == reference_line_masks(S.n, S.scaled)
+
+
+# largest entries on either side of each field-width change (64, 2**14, 2**30,
+# 2**62, 2**126), of the byte boundaries 2**15, 2**31 and 2**63, and past 2**64
+TOPS = sorted(
+    {t + s for t in (64, 1 << 14, 1 << 15, 1 << 30, 1 << 31, 1 << 62, 1 << 63, 1 << 126) for s in (-1, 0)}
+    | {(1 << 64) + 1}
+)
+
+
+def wide_metric(rng: random.Random, n: int, top: int) -> list[list[int]]:
+    """A metric with largest entry top: entries in [top - top // 2, top].
+
+    Any two such entries sum to at least top, so every triangle holds.  For
+    even top, two halves make a tight triangle, so some lines have a third
+    point.
+    """
+    lo = top - top // 2
+    rows = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = rng.choice((lo, lo, top, rng.randint(lo, top)))
+    if n > 1:
+        rows[0][n - 1] = rows[n - 1][0] = top
+    return rows
+
+
+def sum_table(rng: random.Random, n: int, top: int) -> list[list[int]]:
+    """A nonnegative table with zero diagonal, largest entry top, not symmetric.
+
+    Its entries are top, a, top - a and |top - 2a| for a few a, so many
+    entries are sums of two others.
+    """
+    values = [top]
+    for _ in range(2):
+        a = rng.randint(0, top)
+        values += [a, top - a, abs(top - 2 * a)]
+    rows = [[0 if i == j else rng.choice(values) for j in range(n)] for i in range(n)]
+    if n > 1:
+        rows[0][1] = top
+    return rows
+
+
+def break_triangle(rng: random.Random, rows: list[list[int]]) -> list[list[int]]:
+    """A copy with d(0,k) and d(k,n-1) shrunk so that d(0,n-1) = top fails through k."""
+    n = len(rows)
+    out = [row[:] for row in rows]
+    k = rng.randrange(1, n - 1)
+    small = max(1, (rows[0][n - 1] - 1) // 2 - rng.randint(0, 3))
+    out[0][k] = out[k][0] = out[k][n - 1] = out[n - 1][k] = small
+    return out
+
+
+class TestFieldWidths:
+    @pytest.mark.parametrize("top", TOPS)
+    def test_masks_lines_and_validation(self, top):
+        rng = random.Random(top)
+        for n in (1, 2, 3, 7):
+            rows = wide_metric(rng, n, top)
+            S = validate_metric(rows)
+            masks = int_metric_line_masks(n, rows)
+            assert masks == reference_line_masks(n, rows)
+            lines = [oracle_line(rows, u, v) for u, v in itertools.combinations(range(n), 2)]
+            assert [frozenset(mask_points(m)) for m in masks] == lines
+            for u, v in itertools.permutations(range(n), 2):
+                assert line_of(S, u, v) == oracle_line(rows, u, v)
+            table = sum_table(rng, n, top)
+            assert int_metric_line_masks(n, table) == reference_line_masks(n, table)
+            if n > 2:
+                broken = break_triangle(rng, rows)
+                got = outcome(validate_metric, broken)
+                assert got is not None and got[0] is TriangleViolation
+                assert got == outcome(oracle_validate, broken)
+
+    def test_every_width_is_reached(self):
+        # 1, 2, 4 and 8 bytes below 2**62, 16 bytes up to 2**126, then 32
+        sizes = {_packed_rows(wide_metric(random.Random(0), 3, top))[0] for top in TOPS}
+        assert sizes == {1, 2, 4, 8, 16, 32}
+
+    def test_tight_triangles_at_every_width(self):
+        # the even tops give lines with a third point, so the masks are not all pairs
+        for top in TOPS:
+            if top % 2 == 0:
+                rows = wide_metric(random.Random(top), 7, top)
+                assert any(m.bit_count() > 2 for m in int_metric_line_masks(7, rows)), top
+
+    def test_one_and_two_points(self):
+        assert int_metric_line_masks(1, [[0]]) == [] == reference_line_masks(1, [[0]])
+        for d in (1, 63, 64, 1 << 62, 1 << 64):
+            assert int_metric_line_masks(2, [[0, d], [d, 0]]) == [0b11]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=140),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_random_magnitudes_match_the_reference(bits, n, seed):
+    rng = random.Random(seed)
+    top = rng.randint(1 << bits, 2 << bits)
+    rows = wide_metric(rng, n, top)
+    assert int_metric_line_masks(n, rows) == reference_line_masks(n, rows)
+    table = sum_table(rng, n, top)
+    assert int_metric_line_masks(n, table) == reference_line_masks(n, table)
+    # scaling a small metric keeps its tight triangles at any magnitude
+    base = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        base[i][j] = base[j][i] = rng.randint(1, 5)
+    scaled = [[x << bits for x in row] for row in floyd_closure(base)]
+    assert int_metric_line_masks(n, scaled) == reference_line_masks(n, scaled)
+    if n > 2:
+        broken = break_triangle(rng, rows)
+        assert outcome(validate_metric, broken) == outcome(oracle_validate, broken)
