@@ -6,198 +6,75 @@ line families of finite metric spaces and 3-uniform hypergraphs with
 rational arithmetic, checks the known lower bounds on their size, searches
 small universes for minimum line counts, and decides whether a triple
 system arises from any metric at all.
+
+Importing the package loads none of its modules.  Each public name is
+imported from its defining module (_EXPORTS) on first access and then
+kept here, so ``metriclines.X`` is always the object ``metriclines.<module>.X``
+and a program pays only for the modules it uses.
 """
 
-from .bounds import ALPHA, BETA, BOUND_IDS, PowerBound, int_nthroot, power_bound
-from .enumeration import (
-    MAX_GRAPH_N,
-    MAX_TRIPLES_N,
-    enum_graphs,
-    enum_triple_systems,
-)
-from .errors import (
-    ArityMismatch,
-    AsymmetryError,
-    BadParams,
-    DegeneratePair,
-    DisconnectedGraph,
-    EmptyUniverse,
-    IndexOutOfRange,
-    MetricLinesError,
-    NonpositiveDistance,
-    NonzeroDiagonal,
-    NotOneTwoSpace,
-    ParseError,
-    PreconditionUnmet,
-    SizeCap,
-    SolverFailure,
-    TooFewPoints,
-    TooManyAssignments,
-    TriangleViolation,
-    XInsideT,
-)
-from .extremal import (
-    CONSTRUCT_KINDS,
-    BoundReport,
-    balanced_group_space,
-    bucket_decomposition,
-    calculus_check,
-    check_bound,
-    complete_graph,
-    construct,
-    equal_line_class,
-    group_space,
-    path_graph,
-    pentagon,
-    predicted_group_lines,
-)
-from .feasibility import FeasibilityResult, metrizable
-from .fileio import (
-    dump_graph,
-    dump_metric,
-    dump_triples,
-    format_rational,
-    load_graph_text,
-    load_metric_text,
-    load_triples_text,
-    parse_rational,
-)
-from .graphs import (
-    Graph,
-    adjacency_from_rows,
-    are_twins,
-    diameter,
-    distinct_line_case,
-    find_twins,
-    geodesic_path,
-    graph_from_edges,
-    graph_metric,
-    graph_to_space,
-    is_connected,
-    is_one_two,
-    max_clique_size,
-    maximal_twin_free,
-    space_to_graph,
-)
-from .metric import (
-    LineFamily,
-    MetricSpace,
-    between,
-    extremes,
-    line_family,
-    line_of,
-    uniform_space,
-    validate_metric,
-)
-from .search import (
-    UNIVERSES,
-    ScanReport,
-    SearchReport,
-    conjecture_scan,
-    min_lines,
-)
-from .triples import (
-    TripleSystem,
-    betweenness_triples,
-    complete_quadruple,
-    fano,
-    hyper_line,
-    hyper_line_family,
-    k34_condition,
-    triple_system,
-    vertex_signatures,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALPHA",
-    "BETA",
-    "BOUND_IDS",
-    "CONSTRUCT_KINDS",
-    "MAX_GRAPH_N",
-    "MAX_TRIPLES_N",
-    "UNIVERSES",
-    "ArityMismatch",
-    "AsymmetryError",
-    "BadParams",
-    "BoundReport",
-    "DegeneratePair",
-    "DisconnectedGraph",
-    "EmptyUniverse",
-    "FeasibilityResult",
-    "Graph",
-    "IndexOutOfRange",
-    "LineFamily",
-    "MetricLinesError",
-    "MetricSpace",
-    "NonpositiveDistance",
-    "NonzeroDiagonal",
-    "NotOneTwoSpace",
-    "ParseError",
-    "PowerBound",
-    "PreconditionUnmet",
-    "ScanReport",
-    "SearchReport",
-    "SizeCap",
-    "SolverFailure",
-    "TooFewPoints",
-    "TooManyAssignments",
-    "TriangleViolation",
-    "TripleSystem",
-    "XInsideT",
-    "adjacency_from_rows",
-    "are_twins",
-    "balanced_group_space",
-    "between",
-    "betweenness_triples",
-    "bucket_decomposition",
-    "calculus_check",
-    "check_bound",
-    "complete_graph",
-    "complete_quadruple",
-    "conjecture_scan",
-    "construct",
-    "diameter",
-    "distinct_line_case",
-    "dump_graph",
-    "dump_metric",
-    "dump_triples",
-    "enum_graphs",
-    "enum_triple_systems",
-    "equal_line_class",
-    "extremes",
-    "fano",
-    "find_twins",
-    "format_rational",
-    "geodesic_path",
-    "graph_from_edges",
-    "graph_metric",
-    "graph_to_space",
-    "group_space",
-    "hyper_line",
-    "hyper_line_family",
-    "int_nthroot",
-    "is_connected",
-    "is_one_two",
-    "k34_condition",
-    "line_family",
-    "line_of",
-    "load_graph_text",
-    "load_metric_text",
-    "load_triples_text",
-    "max_clique_size",
-    "maximal_twin_free",
-    "metrizable",
-    "min_lines",
-    "parse_rational",
-    "path_graph",
-    "pentagon",
-    "power_bound",
-    "predicted_group_lines",
-    "space_to_graph",
-    "triple_system",
-    "uniform_space",
-    "validate_metric",
-    "vertex_signatures",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("bounds", "ALPHA BETA BOUND_IDS PowerBound int_nthroot power_bound"),
+        ("enumeration", "MAX_GRAPH_N MAX_TRIPLES_N enum_graphs enum_triple_systems"),
+        (
+            "errors",
+            "ArityMismatch AsymmetryError BadParams DegeneratePair DisconnectedGraph "
+            "EmptyUniverse IndexOutOfRange MetricLinesError NonpositiveDistance "
+            "NonzeroDiagonal NotOneTwoSpace ParseError PreconditionUnmet SizeCap "
+            "SolverFailure TooFewPoints TooManyAssignments TriangleViolation XInsideT",
+        ),
+        (
+            "extremal",
+            "BoundReport balanced_group_space bucket_decomposition calculus_check "
+            "check_bound complete_graph construct equal_line_class group_space "
+            "path_graph pentagon predicted_group_lines",
+        ),
+        ("feasibility", "FeasibilityResult metrizable"),
+        (
+            "fileio",
+            "CONSTRUCT_KINDS UNIVERSES dump_graph dump_metric dump_triples "
+            "format_rational load_graph_text load_metric_text load_triples_text "
+            "parse_rational",
+        ),
+        (
+            "graphs",
+            "Graph adjacency_from_rows are_twins diameter distinct_line_case find_twins "
+            "geodesic_path graph_from_edges graph_metric graph_to_space is_connected "
+            "is_one_two max_clique_size maximal_twin_free space_to_graph",
+        ),
+        (
+            "metric",
+            "LineFamily MetricSpace between extremes line_family line_of uniform_space "
+            "validate_metric",
+        ),
+        ("search", "ScanReport SearchReport conjecture_scan min_lines"),
+        (
+            "triples",
+            "TripleSystem betweenness_triples complete_quadruple fano hyper_line "
+            "hyper_line_family k34_condition triple_system vertex_signatures",
+        ),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -10,7 +10,6 @@ comparing q**root with base, and reported values are rational sandwiches
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -62,19 +61,31 @@ def int_nthroot(a: int, k: int) -> tuple[int, bool]:
     return r, r ** k == a
 
 
-@dataclass(frozen=True)
 class PowerBound:
     """The number base**(1/root) with base a nonnegative rational."""
 
-    base: Fraction
-    root: int
-    shift: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        if self.root < 1:
-            raise BadParams(f"root must be positive, got {self.root}")
-        if self.base < 0:
+    def __init__(self, base: Fraction, root: int, shift: Fraction = Fraction(0)):
+        if root < 1:
+            raise BadParams(f"root must be positive, got {root}")
+        if base < 0:
             raise BadParams("base must be nonnegative")
+        self.base = base
+        self.root = root
+        self.shift = shift
+
+    def _key(self):
+        return self.base, self.root, self.shift
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"PowerBound(base={self.base!r}, root={self.root!r}, shift={self.shift!r})"
 
     def compare(self, q: Rational) -> int:
         """Sign of (value - q), decided exactly."""

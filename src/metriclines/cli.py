@@ -6,6 +6,15 @@ start with '#') or a single canonical JSON document under --format json.
 
 Exit codes: 0 success or bound pass, 1 bound fail or violator found,
 2 usage error, 3 input error.
+
+Importing this module loads only errors and fileio (and metric, which
+fileio reads tables with); building the parser loads nothing more.  Each
+verb imports the library modules it runs when it runs, so a call pays for
+its own verb alone.  The library names the verbs call (_LIBRARY) are still
+attributes of this module: the first access imports one from its defining
+module, through the package, and keeps it here, and _lib looks a verb's
+functions up here on every call, so a replacement set on this module (a
+test's stub, a tracer's wrapper) is what the verb calls.
 """
 
 from __future__ import annotations
@@ -20,8 +29,9 @@ from .errors import (
     MetricLinesError,
     SizeCap,
 )
-from .extremal import CONSTRUCT_KINDS, check_bound, construct
 from .fileio import (
+    CONSTRUCT_KINDS,
+    UNIVERSES,
     dump_graph,
     dump_metric,
     format_rational,
@@ -30,11 +40,25 @@ from .fileio import (
     load_triples_text,
     parse_rational,
 )
-from .feasibility import metrizable
-from .graphs import Graph
-from .metric import MetricSpace, line_family
-from .search import UNIVERSES, conjecture_scan, min_lines
-from .triples import betweenness_triples, hyper_line_family
+
+# the library names the verbs call, imported through the package on first use
+_LIBRARY = frozenset(
+    "check_bound construct metrizable MetricSpace line_family conjecture_scan "
+    "min_lines betweenness_triples hyper_line_family".split()
+)
+
+def __getattr__(name: str):
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
+
+def _lib(name: str):
+    """The library object name as this module holds it, imported if it does not yet."""
+    namespace = globals()
+    return namespace[name] if name in namespace else __getattr__(name)
+
 
 CHECKABLE_BOUNDS = ("range", "diam", "graphs_corollary", "onetwo_lower")
 _METRIC_BOUNDS = ("range", "onetwo_lower")
@@ -88,19 +112,19 @@ def _family_output(fam, fmt: str) -> str:
 
 def _cmd_lines(args) -> int:
     space = load_metric_text(_read_text(args.file), source=args.file)
-    _print(_family_output(line_family(space), args.format))
+    _print(_family_output(_lib("line_family")(space), args.format))
     return 0
 
 
 def _cmd_hyperlines(args) -> int:
     system = load_triples_text(_read_text(args.file), source=args.file)
-    _print(_family_output(hyper_line_family(system), args.format))
+    _print(_family_output(_lib("hyper_line_family")(system), args.format))
     return 0
 
 
 def _cmd_triples(args) -> int:
     space = load_metric_text(_read_text(args.file), source=args.file)
-    system = betweenness_triples(space)
+    system = _lib("betweenness_triples")(space)
     edges = system.sorted_edges()
     if args.format == "json":
         _print(
@@ -118,10 +142,10 @@ def _cmd_triples(args) -> int:
 def _cmd_check(args) -> int:
     text = _read_text(args.file)
     if args.bound_id in _METRIC_BOUNDS:
-        instance: MetricSpace | Graph = load_metric_text(text, source=args.file)
+        instance = load_metric_text(text, source=args.file)
     else:
         instance = load_graph_text(text, source=args.file)
-    report = check_bound(instance, args.bound_id)
+    report = _lib("check_bound")(instance, args.bound_id)
     doc = report.to_json_dict()
     if args.format == "json":
         _print(_canonical_json(doc))
@@ -140,8 +164,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_construct(args) -> int:
     params = [parse_rational(token) for token in args.params]
-    instance = construct(args.kind, *params)
-    if isinstance(instance, MetricSpace):
+    instance = _lib("construct")(args.kind, *params)
+    if isinstance(instance, _lib("MetricSpace")):
         text = dump_metric(instance)
     else:
         text = dump_graph(instance)
@@ -169,7 +193,7 @@ def _search_tsv(doc: dict) -> str:
 
 
 def _cmd_search(args) -> int:
-    report = min_lines(args.universe, args.n, args.exclude_universal)
+    report = _lib("min_lines")(args.universe, args.n, args.exclude_universal)
     doc = report.to_json_dict(include_timing=args.timing)
     if args.format == "json":
         _print(_canonical_json(doc))
@@ -179,7 +203,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    report = conjecture_scan(args.n_max)
+    report = _lib("conjecture_scan")(args.n_max)
     doc = report.to_json_dict(include_timing=args.timing)
     if args.format == "json":
         _print(_canonical_json(doc))
@@ -202,7 +226,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_metrizable(args) -> int:
     system = load_triples_text(_read_text(args.file), source=args.file)
-    result = metrizable(
+    result = _lib("metrizable")(
         system,
         normalization_cap=parse_rational(args.cap),
         max_edges=args.max_edges,

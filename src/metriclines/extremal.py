@@ -9,13 +9,12 @@ artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
 from .bounds import Rational, power_bound
 from .errors import BadParams, PreconditionUnmet, TooFewPoints, XInsideT, check_points
-from .fileio import format_rational
+from .fileio import CONSTRUCT_KINDS, format_rational
 from .graphs import Graph, first_non_one_two, graph_dist_rows, graph_from_edges, is_connected
 from .metric import (
     MetricSpace,
@@ -30,24 +29,23 @@ from .triples import TripleSystem, hyper_line
 
 Instance = Union[MetricSpace, Graph]
 
-CONSTRUCT_KINDS = (
-    "pentagon",
-    "groups",
-    "groups_balanced",
-    "path",
-    "uniform",
-    "complete",
-)
 
-
-@dataclass(frozen=True)
 class BoundReport:
-    bound_id: str
-    params: Mapping[str, Rational]
-    lines_found: int
-    bound_lo: Fraction
-    bound_hi: Fraction
-    passed: bool
+    def __init__(
+        self,
+        bound_id: str,
+        params: Mapping[str, Rational],
+        lines_found: int,
+        bound_lo: Fraction,
+        bound_hi: Fraction,
+        passed: bool,
+    ):
+        self.bound_id = bound_id
+        self.params = params
+        self.lines_found = lines_found
+        self.bound_lo = bound_lo
+        self.bound_hi = bound_hi
+        self.passed = passed
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,6 +130,8 @@ def complete_graph(n: int) -> Graph:
 
 def construct(kind: str, *params: Rational) -> Instance:
     """Build a named instance; see CONSTRUCT_KINDS for the vocabulary."""
+    if kind not in CONSTRUCT_KINDS:
+        raise BadParams(f"unknown construction {kind!r}")
 
     def want(count: int) -> None:
         if len(params) != count:
@@ -166,10 +166,9 @@ def construct(kind: str, *params: Rational) -> Instance:
         if c <= 0:
             raise BadParams(f"distance must be positive, got {c}")
         return uniform_space(n, c)
-    if kind == "complete":
-        want(1)
-        return complete_graph(as_int(params[0], "n"))
-    raise BadParams(f"unknown construction {kind!r}")
+    # complete
+    want(1)
+    return complete_graph(as_int(params[0], "n"))
 
 
 def predicted_group_lines(k: int, m: int) -> int:

@@ -35,7 +35,6 @@ common denominator, and are handed to the integer-pivoting solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
@@ -55,19 +54,25 @@ MAX_METRIZABLE_N = 10
 _AUTOMORPHISM_CAP = 1024
 
 
-@dataclass(frozen=True)
 class FeasibilityResult:
-    metrizable: bool
-    witness: MetricSpace | None
-    assignments_tried: int
-    best_margin: Fraction
+    def __init__(
+        self,
+        metrizable: bool,
+        witness: MetricSpace | None,
+        assignments_tried: int,
+        best_margin: Fraction,
+    ):
+        self.metrizable = metrizable
+        self.witness = witness
+        self.assignments_tried = assignments_tried
+        self.best_margin = best_margin
 
 
-@dataclass(frozen=True)
 class _Problem:
-    n: int
-    cap: Fraction
-    edges: tuple[tuple[int, int, int], ...]
+    def __init__(self, n: int, cap: Fraction, edges: tuple[tuple[int, int, int], ...]):
+        self.n = n
+        self.cap = cap
+        self.edges = edges
 
 
 def _pairs(n: int) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:

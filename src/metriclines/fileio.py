@@ -5,6 +5,11 @@ followed by an n-by-n table of rationals written as p or p/q.  Triple and
 graph files start with "n m" and list one sorted edge per line.  Parse
 errors carry 1-based line and column positions; blank lines are skipped,
 and positions always refer to the physical file.
+
+The module also holds the names that construct (extremal) and min_lines
+(search) accept, so that the command-line parser can offer them without
+importing either module.  It imports graphs and triples only inside the
+loaders that build their objects.
 """
 
 from __future__ import annotations
@@ -12,11 +17,24 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import lt
+from typing import TYPE_CHECKING
 
 from .errors import BadParams, ParseError
-from .graphs import Graph, graph_from_edges
 from .metric import MetricSpace, validate_metric
-from .triples import TripleSystem
+
+if TYPE_CHECKING:
+    from .graphs import Graph
+    from .triples import TripleSystem
+
+CONSTRUCT_KINDS = (
+    "pentagon",
+    "groups",
+    "groups_balanced",
+    "path",
+    "uniform",
+    "complete",
+)
+UNIVERSES = ("hypergraphs", "one_two", "graph_metrics")
 
 _TOKEN = re.compile(r"\S+")
 _RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -135,6 +153,8 @@ def _load_edge_list(
 
 
 def load_triples_text(text: str, source: str = "<string>") -> TripleSystem:
+    from .triples import TripleSystem
+
     n, edges = _load_edge_list(text, source, 3, "triple")
     return TripleSystem(n, frozenset(edges))
 
@@ -147,6 +167,8 @@ def dump_triples(T: TripleSystem) -> str:
 
 
 def load_graph_text(text: str, source: str = "<string>") -> Graph:
+    from .graphs import graph_from_edges
+
     n, edges = _load_edge_list(text, source, 2, "edge")
     return graph_from_edges(n, edges)
 

@@ -21,7 +21,6 @@ rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -37,30 +36,42 @@ from .errors import (
 from .metric import MetricSpace, pair_line_masks, validate_metric
 
 
-@dataclass(frozen=True)
 class Graph:
     """Undirected graph on 0..n-1; adj[u] is the neighbor set of u as a bitmask."""
 
-    n: int
-    adj: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise BadParams(f"graph needs at least one vertex, got n={self.n}")
-        if len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        if n < 1:
+            raise BadParams(f"graph needs at least one vertex, got n={n}")
+        if len(adj) != n:
             raise BadParams("adjacency rows do not match n")
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        for u, row in enumerate(adj):
             if row & ~full:
                 raise BadParams(f"adjacency row {u} mentions vertices past n")
             if row >> u & 1:
                 raise BadParams(f"self-loop at {u}")
-        for u, row in enumerate(self.adj):
+        for u, row in enumerate(adj):
             while row:
                 v = (row & -row).bit_length() - 1
                 row &= row - 1
-                if not self.adj[v] >> u & 1:
+                if not adj[v] >> u & 1:
                     raise BadParams(f"adjacency not symmetric at ({min(u, v)},{max(u, v)})")
+        self.n = n
+        self.adj = adj
+
+    def _key(self):
+        return self.n, self.adj
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, adj={self.adj!r})"
 
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -235,7 +246,14 @@ def are_twins(S: MetricSpace, u: int, v: int) -> bool:
 
 def find_twins(S: MetricSpace) -> frozenset[tuple[int, int]]:
     """All twin pairs, each as (u, v) with u < v."""
-    adj = space_to_graph(S).adj
+    _require_one_two(S)
+    return _twin_pairs(S)
+
+
+def _twin_pairs(S: MetricSpace) -> frozenset[tuple[int, int]]:
+    """find_twins of a space already known to be a 1-2 space."""
+    one = S.scale
+    adj = [sum(1 << j for j, x in enumerate(row) if x == one) for row in S.scaled]
     out = set()
     for u in range(S.n):
         for v in range(u + 1, S.n):
@@ -265,7 +283,7 @@ _CASE_ARITY = {"i": 4, "ii": 4, "iii": 4, "iv": 3, "v": 3, "vi": 3}
 
 
 def _has_other_twin(S: MetricSpace, p: int, excluded: int) -> bool:
-    return any(p in pair and excluded not in pair for pair in find_twins(S))
+    return any(p in pair and excluded not in pair for pair in _twin_pairs(S))
 
 
 def distinct_line_case(
@@ -312,7 +330,11 @@ def distinct_line_case(
         pair_a, pair_b = (u1, u2), (u3, u4)
     elif case_id == "iv":
         u1, u2, u3 = points
-        applies = d[u1][u2] == 1 and d[u2][u3] == 1 and not are_twins(S, u1, u3)
+        applies = (
+            d[u1][u2] == 1
+            and d[u2][u3] == 1
+            and (min(u1, u3), max(u1, u3)) not in _twin_pairs(S)
+        )
         pair_a, pair_b = (u1, u2), (u2, u3)
     elif case_id == "v":
         u1, u2, u3 = points

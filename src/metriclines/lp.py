@@ -15,7 +15,6 @@ value and point are reported as Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,10 +24,10 @@ _STALL_LIMIT = 30
 _MAX_PIVOTS = 100_000
 
 
-@dataclass(frozen=True)
 class SimplexSolution:
-    value: Fraction
-    x: tuple[Fraction, ...]
+    def __init__(self, value: Fraction, x: tuple[Fraction, ...]):
+        self.value = value
+        self.x = x
 
 
 def maximize_scaled(

@@ -26,7 +26,6 @@ which pairs generated it is not kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -45,28 +44,36 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class MetricSpace:
     """A validated finite metric space with exact rational distances.
 
     scaled is dist times scale, the lcm of its denominators; both derive
     from dist and take no part in equality or hashing.  packed is scaled
-    with its rows packed for the kernel, built on first use.
+    with its rows packed for the kernel, built on first use.  Instances are
+    values: nothing assigns to their fields after construction.
     """
 
-    n: int
-    dist: tuple[tuple[Fraction, ...], ...]
-    scale: int = field(init=False, repr=False, compare=False)
-    scaled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        scale = lcm(*{x.denominator for row in self.dist for x in row})
-        scaled = tuple(
-            tuple(x.numerator * (scale // x.denominator) for x in row)
-            for row in self.dist
+    def __init__(self, n: int, dist: tuple[tuple[Fraction, ...], ...]):
+        self.n = n
+        self.dist = dist
+        self.scale = scale = lcm(*{x.denominator for row in dist for x in row})
+        self.scaled = tuple(
+            tuple(x.numerator * (scale // x.denominator) for x in row) for row in dist
         )
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "scaled", scaled)
+
+    def _key(self):
+        return self.n, self.dist
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"MetricSpace(n={self.n!r}, dist={self.dist!r})"
 
     @cached_property
     def packed(self) -> tuple[int, list[int]]:
@@ -74,7 +81,6 @@ class MetricSpace:
         return _packed_rows(self.scaled)
 
 
-@dataclass(frozen=True)
 class LineFamily:
     """All distinct lines of a space, in a canonical order.
 
@@ -83,9 +89,24 @@ class LineFamily:
     accumulated.  pair_count is the number of pairs the lines came from.
     """
 
-    n: int
-    lines: tuple[tuple[int, ...], ...]
-    pair_count: int
+    def __init__(self, n: int, lines: tuple[tuple[int, ...], ...], pair_count: int):
+        self.n = n
+        self.lines = lines
+        self.pair_count = pair_count
+
+    def _key(self):
+        return self.n, self.lines, self.pair_count
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"LineFamily(n={self.n!r}, lines={self.lines!r}, pair_count={self.pair_count!r})"
 
     @property
     def count(self) -> int:

@@ -10,22 +10,21 @@ first optimum in canonical order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Union
 
 from .enumeration import MAX_GRAPH_N, MAX_TRIPLES_N, enum_graphs, enum_triple_systems
 from .errors import BadParams, EmptyUniverse, SizeCap
-from .fileio import dump_graph, dump_triples
+from .fileio import UNIVERSES, dump_graph, dump_triples
 from .graphs import Graph, graph_dist_rows, onetwo_line_masks
 from .metric import int_metric_line_masks
 from .triples import TripleSystem, triple_line_masks
 
 
 # universe -> (size cap, default of exclude_universal, classes on n points in
-# canonical order, line masks of a class).  f and the graph-metric question
-# exclude the universal line; h does not.  The lambdas look the enumerators
-# and kernels up when called, so a replacement installed on this module after
-# import takes effect.
+# canonical order, line masks of a class), in the order of UNIVERSES.  f and
+# the graph-metric question exclude the universal line; h does not.  The
+# lambdas look the enumerators and kernels up when called, so a replacement
+# installed on this module after import takes effect.
 _SPECS: dict[str, tuple[int, bool, Callable[[int], list], Callable[[Any], list]]] = {
     "hypergraphs": (
         MAX_TRIPLES_N,
@@ -46,18 +45,26 @@ _SPECS: dict[str, tuple[int, bool, Callable[[int], list], Callable[[Any], list]]
         lambda G: int_metric_line_masks(G.n, graph_dist_rows(G)),
     ),
 }
-UNIVERSES = tuple(_SPECS)
 
 
-@dataclass(frozen=True)
 class SearchReport:
-    universe: str
-    n: int
-    exclude_universal: bool
-    minimum: int
-    witness: Union[TripleSystem, Graph]
-    instances_examined: int
-    elapsed: float
+    def __init__(
+        self,
+        universe: str,
+        n: int,
+        exclude_universal: bool,
+        minimum: int,
+        witness: Union[TripleSystem, Graph],
+        instances_examined: int,
+        elapsed: float,
+    ):
+        self.universe = universe
+        self.n = n
+        self.exclude_universal = exclude_universal
+        self.minimum = minimum
+        self.witness = witness
+        self.instances_examined = instances_examined
+        self.elapsed = elapsed
 
     def witness_text(self) -> str:
         if isinstance(self.witness, TripleSystem):
@@ -78,13 +85,20 @@ class SearchReport:
         return out
 
 
-@dataclass(frozen=True)
 class ScanReport:
-    n_max: int
-    violators: tuple[Graph, ...]
-    minima: Mapping[int, int]
-    instances_examined: int
-    elapsed: float
+    def __init__(
+        self,
+        n_max: int,
+        violators: tuple[Graph, ...],
+        minima: Mapping[int, int],
+        instances_examined: int,
+        elapsed: float,
+    ):
+        self.n_max = n_max
+        self.violators = violators
+        self.minima = minima
+        self.instances_examined = instances_examined
+        self.elapsed = elapsed
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -114,7 +128,7 @@ def min_lines(
     exclude_universal: bool | None = None,
 ) -> SearchReport:
     """Exact minimum number of distinct lines over a whole universe."""
-    if universe not in _SPECS:
+    if universe not in UNIVERSES:
         raise BadParams(f"unknown universe {universe!r}")
     cap, default_exclude, _, _ = _SPECS[universe]
     if exclude_universal is None:

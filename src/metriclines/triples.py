@@ -9,34 +9,44 @@ triples always induce the same family of lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BadParams, TooFewPoints, XInsideT, check_pair, check_points
 from .metric import LineFamily, MetricSpace, family_from_masks, int_metric_line_masks, mask_points
 
 
-@dataclass(frozen=True)
 class TripleSystem:
     """A 3-uniform hypergraph; edges are stored as sorted tuples."""
 
-    n: int
-    edges: frozenset[tuple[int, int, int]]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise TooFewPoints(self.n, 1)
+    def __init__(self, n: int, edges: frozenset[tuple[int, int, int]]):
+        if n < 1:
+            raise TooFewPoints(n, 1)
         canon = set()
-        for e in self.edges:
+        for e in edges:
             t = e  # parsed and generated edges come sorted already
             if not (type(e) is tuple and len(e) == 3 and e[0] < e[1] < e[2]):
                 t = tuple(sorted(e))
                 if len(t) != 3 or len(set(t)) != 3:
                     raise BadParams(f"not a triple: {e}")
-            if not (0 <= t[0] and t[2] < self.n):
-                raise BadParams(f"triple {e} out of range for n={self.n}")
+            if not (0 <= t[0] and t[2] < n):
+                raise BadParams(f"triple {e} out of range for n={n}")
             canon.add(t)
-        object.__setattr__(self, "edges", frozenset(canon))
+        self.n = n
+        self.edges = frozenset(canon)
+
+    def _key(self):
+        return self.n, self.edges
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"TripleSystem(n={self.n!r}, edges={self.edges!r})"
 
     def sorted_edges(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(sorted(self.edges))

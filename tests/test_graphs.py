@@ -32,6 +32,7 @@ from metriclines import (
     uniform_space,
     validate_metric,
 )
+import metriclines.graphs as graphs_mod
 from metriclines.graphs import graph_dist_rows, onetwo_line_masks
 from metriclines.metric import int_metric_line_masks
 from helpers import labeled_graph_rows, oracle_line_sets
@@ -226,6 +227,20 @@ class TestDistinctLineCases:
         S = graph_metric(graph_from_edges(4, [(0, 1), (1, 2), (2, 3)]))
         with pytest.raises(NotOneTwoSpace):
             distinct_line_case(S, "i", (0, 1, 2, 3))
+
+    def test_table_checked_once_per_call(self, monkeypatch):
+        calls = []
+        check = graphs_mod.first_non_one_two
+        monkeypatch.setattr(graphs_mod, "first_non_one_two", lambda S: calls.append(S) or check(S))
+        # in group_space(3, 3) the points of cases iii-v meet the distance
+        # part of their hypothesis, so each reaches its twin test
+        for case, pts in (
+            ("i", (0, 3, 6, 1)), ("ii", (0, 3, 1, 2)), ("iii", (0, 1, 3, 4)),
+            ("iv", (0, 3, 6)), ("v", (0, 3, 4)), ("vi", (1, 0, 2)),
+        ):
+            calls.clear()
+            distinct_line_case(self.S, case, pts)
+            assert len(calls) == 1, case
 
     def test_case_i_on_all_ones(self):
         S = uniform_space(4, 1)

@@ -106,6 +106,8 @@ class TestValidationAndCaps:
             min_lines("graph_metrics", 9)
 
     def test_defaults_per_universe(self):
+        # the parser offers UNIVERSES without importing this module
+        assert tuple(_SPECS) == UNIVERSES
         defaults = {universe: _SPECS[universe][1] for universe in UNIVERSES}
         assert defaults == {
             "hypergraphs": True,
