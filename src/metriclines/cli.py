@@ -31,6 +31,7 @@ from .errors import (
 )
 from .fileio import (
     CONSTRUCT_KINDS,
+    DEFAULT_EDGE_CAP,
     UNIVERSES,
     dump_graph,
     dump_metric,
@@ -316,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrizable", help="decide if a triple system has a metric")
     p.add_argument("file", help="triples file, or - for stdin")
     p.add_argument("--cap", default="1", help="distance normalization cap (rational)")
-    p.add_argument("--max-edges", type=int, default=12, help="assignment budget cap")
+    p.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP, help="assignment budget cap")
     p.set_defaults(func=_cmd_metrizable)
 
     return parser

@@ -248,12 +248,13 @@ def bucket_decomposition(space: MetricSpace, x: int) -> tuple[frozenset[int], in
     if space.n < 2:
         raise TooFewPoints(space.n, 2)
     check_points(space.n, x)
-    delta = extremes(space)[0]
+    D = space.scaled
+    delta = min(min(row[i + 1 :]) for i, row in enumerate(D[:-1]))
     buckets: dict[int, list[int]] = {}
     for u in range(space.n):
         if u == x:
             continue
-        i = int(space.dist[x][u] / delta)
+        i = D[x][u] // delta
         buckets.setdefault(i, []).append(u)
     best_i = min(buckets, key=lambda i: (-len(buckets[i]), i))
     return frozenset(buckets[best_i]), best_i

@@ -41,11 +41,11 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .errors import BadParams, SizeCap, SolverFailure, TooFewPoints, TooManyAssignments
+from .fileio import DEFAULT_EDGE_CAP
 from .lp import maximize_scaled
 from .metric import MetricSpace, validate_metric
 from .triples import TripleSystem, betweenness_triples
 
-_DEFAULT_EDGE_CAP = 12
 # most points decided: one LP on disjoint triples took 0.4 s at n = 10,
 # 1.3 s at n = 12 and over 120 s at n = 36
 MAX_METRIZABLE_N = 10
@@ -406,7 +406,7 @@ def _witness_from(prob: _Problem, dists: list[Fraction]) -> MetricSpace:
 def metrizable(
     T: TripleSystem,
     normalization_cap: Fraction | int = 1,
-    max_edges: int = _DEFAULT_EDGE_CAP,
+    max_edges: int = DEFAULT_EDGE_CAP,
 ) -> FeasibilityResult:
     """Decide whether some metric space induces exactly these triples.
 

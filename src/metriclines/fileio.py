@@ -7,9 +7,9 @@ errors carry 1-based line and column positions; blank lines are skipped,
 and positions always refer to the physical file.
 
 The module also holds the names that construct (extremal) and min_lines
-(search) accept, so that the command-line parser can offer them without
-importing either module.  It imports graphs and triples only inside the
-loaders that build their objects.
+(search) accept, and metrizable's default edge cap (feasibility), so that
+the command-line parser can offer them without importing those modules.
+It imports graphs and triples only inside the loaders that build them.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ CONSTRUCT_KINDS = (
     "complete",
 )
 UNIVERSES = ("hypergraphs", "one_two", "graph_metrics")
+# default cap on the edges metrizable will branch on (3**edges assignments)
+DEFAULT_EDGE_CAP = 12
 
 _TOKEN = re.compile(r"\S+")
 _RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -47,8 +49,8 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(token: str) -> Fraction:
-    """Parse p or p/q.  Unreduced fractions are accepted and normalized."""
+def parse_rational(token: str) -> int | Fraction:
+    """Parse p as an int, or p/q, unreduced or not, as a Fraction."""
     if not _RATIONAL.match(token):
         raise BadParams(f"not a rational: {token!r}")
     if "/" in token:
@@ -56,7 +58,7 @@ def parse_rational(token: str) -> Fraction:
         if int(q) == 0:
             raise BadParams("zero denominator")
         return Fraction(int(p), int(q))
-    return Fraction(int(token))
+    return int(token)
 
 
 def _rows(text: str) -> list[tuple[int, str, list[str]]]:
@@ -94,7 +96,7 @@ def load_metric_text(text: str, source: str = "<string>") -> MetricSpace:
     if len(body) != n:
         where = body[-1][0] + 1 if body else lineno + 1
         raise ParseError(source, where, 1, f"expected {n} rows, found {len(body)}")
-    table: list[list[Fraction]] = []
+    table: list[list[int | Fraction]] = []
     for lineno, raw, toks in body:
         if len(toks) != n:
             raise ParseError(source, lineno, _col(raw, n), f"expected {n} values, found {len(toks)}")
@@ -109,9 +111,10 @@ def load_metric_text(text: str, source: str = "<string>") -> MetricSpace:
 
 
 def dump_metric(S: MetricSpace) -> str:
+    s = S.scale
+    entry = str if s == 1 else lambda x: format_rational(Fraction(x, s))
     lines = [str(S.n)]
-    for i in range(S.n):
-        lines.append(" ".join(format_rational(x) for x in S.dist[i]))
+    lines.extend(" ".join(map(entry, row)) for row in S.scaled)
     return "\n".join(lines) + "\n"
 
 

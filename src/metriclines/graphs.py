@@ -10,8 +10,10 @@ formulas on adjacency rows, and the case analysis in distinct_line_case
 spells out when two generating pairs are forced to give different lines.
 
 Betweenness is decided exactly, with no floats, on integer tables: hop
-counts are integers already, and a space's integer-scaled table (see
-``metric``) feeds the same kernel, int_metric_line_masks.  That kernel packs
+counts are integers already, and a space is stored as its integer table
+over a scale (see ``metric``), which feeds the same kernel,
+int_metric_line_masks.  Distance 1 and 2 are the entries scale and
+2 * scale; graph_to_space builds its table with scale 1.  That kernel packs
 each distance row into one int, a byte per vertex while the diameter is
 below 64 and wider fields past it, and tests a pair against every vertex in
 a few big-integer operations; distinct_line_case compares the two pairs'
@@ -21,7 +23,6 @@ rows.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -213,18 +214,13 @@ def _require_one_two(S: MetricSpace) -> None:
         raise NotOneTwoSpace(*pair)
 
 
-def graph_to_space(S_or_G: Graph) -> MetricSpace:
+def graph_to_space(G: Graph) -> MetricSpace:
     """Edges become distance 1, non-edges distance 2.  Any graph qualifies."""
-    G = S_or_G
-    one, two, zero = Fraction(1), Fraction(2), Fraction(0)
-    rows = [
-        [
-            zero if i == j else (one if G.adj[i] >> j & 1 else two)
-            for j in range(G.n)
-        ]
+    rows = tuple(
+        tuple(0 if i == j else (1 if G.adj[i] >> j & 1 else 2) for j in range(G.n))
         for i in range(G.n)
-    ]
-    return MetricSpace(G.n, tuple(tuple(r) for r in rows))
+    )
+    return MetricSpace(G.n, rows)
 
 
 def space_to_graph(S: MetricSpace) -> Graph:
@@ -233,7 +229,7 @@ def space_to_graph(S: MetricSpace) -> Graph:
         (i, j)
         for i in range(S.n)
         for j in range(i + 1, S.n)
-        if S.dist[i][j] == 1
+        if S.scaled[i][j] == S.scale
     ]
     return graph_from_edges(S.n, edges)
 
@@ -313,39 +309,22 @@ def distinct_line_case(
     if len(set(points)) != want:
         raise BadParams(f"points must be distinct, got {points}")
     _require_one_two(S)
-    d = S.dist
+    # (p1,p2) against (p3,p4), or (p1,p2) against (p2,p3)
+    (a, b), (c, e) = pair_a, pair_b = points[:2], points[-2:]
+    d = S.scaled
+    one, two = S.scale, 2 * S.scale
     if case_id == "i":
-        u1, u2, u3, u4 = points
-        applies = all(d[a][b] == 1 for a, b in combinations(points, 2))
-        pair_a, pair_b = (u1, u2), (u3, u4)
+        applies = all(d[x][y] == one for x, y in combinations(points, 2))
     elif case_id == "ii":
-        u1, u2, u3, u4 = points
-        applies = d[u1][u2] == 1 and d[u3][u4] == 2
-        pair_a, pair_b = (u1, u2), (u3, u4)
+        applies = d[a][b] == one and d[c][e] == two
     elif case_id == "iii":
-        u1, u2, u3, u4 = points
-        applies = (
-            d[u1][u2] == 2 and d[u3][u4] == 2 and _has_other_twin(S, u4, u3)
-        )
-        pair_a, pair_b = (u1, u2), (u3, u4)
+        applies = d[a][b] == two and d[c][e] == two and _has_other_twin(S, e, c)
     elif case_id == "iv":
-        u1, u2, u3 = points
-        applies = (
-            d[u1][u2] == 1
-            and d[u2][u3] == 1
-            and (min(u1, u3), max(u1, u3)) not in _twin_pairs(S)
-        )
-        pair_a, pair_b = (u1, u2), (u2, u3)
+        applies = d[a][b] == one and d[c][e] == one and (min(a, e), max(a, e)) not in _twin_pairs(S)
     elif case_id == "v":
-        u1, u2, u3 = points
-        applies = (
-            d[u1][u2] == 1 and d[u2][u3] == 2 and _has_other_twin(S, u3, u2)
-        )
-        pair_a, pair_b = (u1, u2), (u2, u3)
+        applies = d[a][b] == one and d[c][e] == two and _has_other_twin(S, e, c)
     else:  # vi
-        u1, u2, u3 = points
-        applies = d[u1][u2] == 2 and d[u2][u3] == 2
-        pair_a, pair_b = (u1, u2), (u2, u3)
+        applies = d[a][b] == two and d[c][e] == two
     mask_a, mask_b = pair_line_masks(S, [pair_a, pair_b])
     return applies, mask_a != mask_b
 

@@ -1,10 +1,11 @@
 """Finite metric spaces and the lines their betweenness relation induces.
 
-Points are 0..n-1.  Distances are exact rationals (fractions.Fraction).
-Betweenness, d(a,b) + d(b,c) == d(a,c), does not change when every distance
-is multiplied by the lcm of the denominators, so it is decided exactly, with
-no floats, on that integer table.  int_metric_line_masks turns the table
-into one line bitmask per pair, and family_from_masks keeps the distinct ones.
+Points are 0..n-1.  Distances are exact rationals, kept once as an integer
+table over their least common denominator, so betweenness,
+d(a,b) + d(b,c) == d(a,c), is decided exactly, with no floats, on ints.
+Fractions appear only where rationals enter (validate_metric) and leave
+(dist, extremes).  int_metric_line_masks turns the table into one line
+bitmask per pair, and family_from_masks keeps the distinct ones.
 
 Packed rows.  The kernel and the triangle pass of validate_metric work on
 each row of the integer table packed into one Python int: entry w sits in a
@@ -45,24 +46,22 @@ from .errors import (
 
 
 class MetricSpace:
-    """A validated finite metric space with exact rational distances.
+    """A finite metric space: d(i,j) is scaled[i][j] / scale.
 
-    scaled is dist times scale, the lcm of its denominators; both derive
-    from dist and take no part in equality or hashing.  packed is scaled
-    with its rows packed for the kernel, built on first use.  Instances are
-    values: nothing assigns to their fields after construction.
+    Nothing is checked here.  The caller passes a metric in lowest terms,
+    gcd(scale, *entries) == 1, as validate_metric and graph_to_space do, so
+    each space has one (n, scale, scaled) for equality, hashing and repr.
+    dist (the Fractions) and packed (the kernel's rows) are built on first
+    use.  Instances are values: nothing assigns to their fields afterwards.
     """
 
-    def __init__(self, n: int, dist: tuple[tuple[Fraction, ...], ...]):
+    def __init__(self, n: int, scaled: tuple[tuple[int, ...], ...], scale: int = 1):
         self.n = n
-        self.dist = dist
-        self.scale = scale = lcm(*{x.denominator for row in dist for x in row})
-        self.scaled = tuple(
-            tuple(x.numerator * (scale // x.denominator) for x in row) for row in dist
-        )
+        self.scaled = scaled
+        self.scale = scale
 
     def _key(self):
-        return self.n, self.dist
+        return self.n, self.scale, self.scaled
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -73,7 +72,13 @@ class MetricSpace:
         return hash(self._key())
 
     def __repr__(self):
-        return f"MetricSpace(n={self.n!r}, dist={self.dist!r})"
+        return f"MetricSpace(n={self.n!r}, scaled={self.scaled!r}, scale={self.scale!r})"
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distances as Fractions, built only when read."""
+        s = self.scale
+        return tuple(tuple(Fraction(x, s) for x in row) for row in self.scaled)
 
     @cached_property
     def packed(self) -> tuple[int, list[int]]:
@@ -119,20 +124,30 @@ class LineFamily:
 def validate_metric(rows: Sequence[Sequence[Fraction | int | str]]) -> MetricSpace:
     """Check the metric axioms on a square table and build a MetricSpace.
 
-    Entries may be Fractions, ints, or strings Fraction() accepts.  Checks
-    run in a fixed order: shape, diagonal/positivity/symmetry swept row by
-    row, then triangle inequalities over pairs i < j (lexicographic) with
-    the intermediate point k ascending.
+    Entries may be ints, Fractions, or anything Fraction() accepts, such as
+    strings; a row of ints alone builds no Fraction.  Checks run in a fixed
+    order: shape, diagonal/positivity/symmetry swept row by row, then
+    triangle inequalities over pairs i < j (lexicographic) with the
+    intermediate point k ascending.
     """
     n = len(rows)
     if n < 1:
         raise TooFewPoints(n, 1)
     table = []
+    scale = 1
+    ints = True
     for i, row in enumerate(rows):
         if len(row) != n:
             raise BadParams(f"row {i} has {len(row)} entries, expected {n}")
-        table.append(tuple(x if type(x) is Fraction else Fraction(x) for x in row))
-    S = MetricSpace(n, tuple(table))
+        if not all(type(x) is int for x in row):
+            row = [x if type(x) in (int, Fraction) else Fraction(x) for x in row]
+            scale = lcm(scale, *[x.denominator for x in row])
+            ints = False
+        table.append(tuple(row))
+    if not ints:
+        # ints and Fractions alike have numerator and denominator
+        table = [tuple(x.numerator * (scale // x.denominator) for x in row) for row in table]
+    S = MetricSpace(n, tuple(table), scale)
     D = S.scaled
     for i in range(n):
         Di = D[i]
@@ -287,6 +302,5 @@ def extremes(S: MetricSpace) -> tuple[Fraction, Fraction, Fraction]:
 
 def uniform_space(n: int, c: Fraction | int = 1) -> MetricSpace:
     """All pairwise distances equal to c."""
-    c = Fraction(c)
-    rows = [[Fraction(0) if i == j else c for j in range(n)] for i in range(n)]
+    rows = [[0 if i == j else c for j in range(n)] for i in range(n)]
     return validate_metric(rows)

@@ -342,6 +342,22 @@ class TestMetrizableVerb:
         assert doc["metrizable"] is False
         assert doc["witness"] is None
 
+    def test_max_edges_default_is_the_library_default(self, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "k34.txt"
+        p.write_text(K34_TRIPLES)
+        import inspect
+
+        import metriclines.cli as cli_mod
+        from metriclines.feasibility import metrizable
+        from metriclines.fileio import DEFAULT_EDGE_CAP
+
+        seen = {}
+        stub = FeasibilityResult(False, None, 1, Fraction(0))
+        monkeypatch.setattr(cli_mod, "metrizable", lambda T, **kw: seen.update(kw) or stub)
+        assert run_main("metrizable", str(p)) == 0
+        default = inspect.signature(metrizable).parameters["max_edges"].default
+        assert seen["max_edges"] == default == DEFAULT_EDGE_CAP
+
     def test_budget_exceeded_exits_three(self, tmp_path, capsys):
         p = tmp_path / "k34.txt"
         p.write_text(K34_TRIPLES)

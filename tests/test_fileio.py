@@ -35,6 +35,12 @@ class TestRationals:
         assert parse_rational("6/4") == Fraction(3, 2)
         assert parse_rational("+2") == Fraction(2)
 
+    def test_parse_keeps_integers_as_ints(self):
+        assert type(parse_rational("3")) is int and parse_rational("3") == 3
+        assert type(parse_rational("-2")) is int
+        assert type(parse_rational("6/4")) is Fraction
+        assert type(parse_rational("4/2")) is Fraction and parse_rational("4/2") == 2
+
     def test_parse_rejects_garbage(self):
         for bad in ("", "1/0", "1.5", "a/b", "1/ 2", "--1"):
             with pytest.raises(BadParams):

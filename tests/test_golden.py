@@ -31,7 +31,17 @@ from metriclines.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
 
-METRICS = ("pentagon", "groups_3_3", "rational12", "path6_metric", "cycle7_metric", "wide9_metric")
+# disguised_onetwo is a 1-2 group space whose equal distances are spelled
+# 1, +1, 2/2 and 2, 4/2
+METRICS = (
+    "pentagon",
+    "groups_3_3",
+    "rational12",
+    "path6_metric",
+    "cycle7_metric",
+    "wide9_metric",
+    "disguised_onetwo",
+)
 GRAPHS = ("path6", "cycle7", "cycle131")
 SYSTEMS = ("triples3",)
 # Fano is not metrizable; triples6 and triples8 find their first feasible
@@ -48,6 +58,7 @@ CASES = (
     ("onetwo_lower-groups_3_3", "json", ["check", "onetwo_lower"], "groups_3_3", 0),
     ("onetwo_lower-rational12", "json", ["check", "onetwo_lower"], "rational12", 3),
     ("onetwo_lower-cycle7_metric", "json", ["check", "onetwo_lower"], "cycle7_metric", 3),
+    ("onetwo_lower-disguised_onetwo", "json", ["check", "onetwo_lower"], "disguised_onetwo", 0),
     *((f"diam-{g}", "json", ["check", "diam"], g, 3 if g == "path6" else 0) for g in GRAPHS),
     *(
         (f"graphs_corollary-{g}", "json", ["check", "graphs_corollary"], g, 3 if g == "path6" else 0)
@@ -72,6 +83,8 @@ CASES = (
     # followed by a trailing blank: the column lies just past its last value
     ("parse-vertex_token", "json", ["hyperlines"], "bad_vertex_token", 3),
     ("parse-short_row", "json", ["lines"], "short_row", 3),
+    # integer and fraction tokens, with d(1,2) = 2 > d(1,3) + d(3,2) = 3/2
+    ("validate-triangle_mixed", "json", ["lines"], "triangle_mixed", 3),
 )
 
 

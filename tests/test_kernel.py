@@ -75,23 +75,49 @@ SEEDS = range(12)
 class TestScaledTable:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_scaled_table_is_exact(self, seed):
-        S = coprime_space(seed, 7)
-        dens = {x.denominator for row in S.dist for x in row}
-        assert S.scale == math.lcm(*dens)
-        for row, srow in zip(S.dist, S.scaled):
+        rows = coprime_rows(random.Random(seed), 7)
+        S = validate_metric(rows)
+        assert S.scale == math.lcm(*(x.denominator for row in rows for x in row))
+        for row, srow in zip(rows, S.scaled):
             for x, y in zip(row, srow):
-                assert isinstance(y, int) and Fraction(y, S.scale) == x
+                assert type(y) is int and Fraction(y, S.scale) == x
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_scale_is_coprime_to_the_table(self, seed):
+        S = coprime_space(seed, 7)
+        assert math.gcd(S.scale, *(x for row in S.scaled for x in row)) == 1
 
     def test_lcm_is_large(self):
         # the draws really do mix the coprime denominators
         assert max(coprime_space(seed, 7).scale for seed in SEEDS) > 10**6
 
-    def test_equality_and_hash_ignore_the_table(self):
+    def test_ints_fractions_and_strings_give_one_space(self):
+        ints = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        fracs = [[Fraction(x) for x in row] for row in ints]
+        strs = [["0", "2/2", "4/2"], ["1", "0", "+1"], ["4/2", "2/2", "0"]]
+        spaces = [validate_metric(rows) for rows in (ints, fracs, strs)]
+        for S in spaces:
+            assert S == spaces[0] and hash(S) == hash(spaces[0])
+            assert S.scaled == ((0, 1, 2), (1, 0, 1), (2, 1, 0)) and S.scale == 1
+            assert all(type(x) is int for row in S.scaled for x in row)
+        halves = validate_metric([[0, "1/2", 1], [Fraction(1, 2), 0, "2/4"], [1, "1/2", 0]])
+        assert halves.scale == 2 and halves.scaled == spaces[0].scaled
+        assert halves != spaces[0]
+
+    def test_dist_is_built_when_read(self):
+        rows = coprime_rows(random.Random(0), 6)
+        S = validate_metric(rows)
+        assert "dist" not in vars(S)
+        assert S.dist == tuple(map(tuple, rows))
+        assert all(type(x) is Fraction for row in S.dist for x in row)
+        assert "dist" in vars(S) and "dist" not in repr(S)
+
+    def test_equality_hash_and_repr_are_the_table(self):
         S = coprime_space(0, 6)
-        again = MetricSpace(S.n, S.dist)
+        again = MetricSpace(S.n, S.scaled, S.scale)
         assert again == S and hash(again) == hash(S)
-        assert again.scaled == S.scaled
-        assert "scaled" not in repr(S)
+        assert repr(S) == f"MetricSpace(n=6, scaled={S.scaled!r}, scale={S.scale!r})"
+        assert MetricSpace(S.n, S.scaled, S.scale * 7) != S
         # validation packed the rows of S, not yet those of again
         assert "packed" in vars(S) and "packed" not in vars(again)
         assert again.packed == S.packed and again == S and "packed" not in repr(S)
