@@ -128,11 +128,8 @@ def _cmd_triples(args) -> int:
     system = _lib("betweenness_triples")(space)
     edges = system.sorted_edges()
     if args.format == "json":
-        _print(
-            _canonical_json(
-                {"n": system.n, "count": len(edges), "triples": [list(e) for e in edges]}
-            )
-        )
+        # json writes a tuple as an array, so the triples go in as they are
+        _print(_canonical_json({"n": system.n, "count": len(edges), "triples": edges}))
     else:
         rows = [f"# n\t{system.n}", f"# count\t{len(edges)}", "index\ttriple"]
         rows.extend(f"{i}\t{_points_str(e)}" for i, e in enumerate(edges))

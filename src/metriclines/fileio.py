@@ -6,23 +6,41 @@ graph files start with "n m" and list one sorted edge per line.  Parse
 errors carry 1-based line and column positions; blank lines are skipped,
 and positions always refer to the physical file.
 
+A loader checks its input in a few passes over the whole text
+(_edge_list, _metric_table): one over splitlines() that keeps only the set
+of token counts per line, one split() for all tokens, and one map(int) over
+them.  An edge file then checks range and order on whole columns of
+vertices, and duplicates by the size of the frozenset of edges, which the
+TripleSystem keeps.  A table splits each p/q into an integer numerator and
+denominator and hands validate_metric its rows over the lcm of the
+denominators, with no Fraction.  Valid input keeps nothing per line, and
+no Python code runs per line; per token only int (and str.partition on a
+table with a p/q) is called.  When a check fails, the per-line walk
+(_walk_edge_list, _walk_metric) reads the text again, line by line and
+token by token, to raise the first error as a ParseError; valid input never
+reaches it.
+
 The module also holds the names that construct (extremal) and min_lines
 (search) accept, and metrizable's default edge cap (feasibility), so that
 the command-line parser can offer them without importing those modules.
-It imports graphs and triples only inside the loaders that build them.
+It imports graphs and triples only inside the loaders that build them, and
+fractions only where a Fraction is built.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from operator import lt
+from itertools import repeat
+from math import lcm
+from operator import floordiv, itemgetter, lt, mul
 from typing import TYPE_CHECKING
 
 from .errors import BadParams, ParseError
 from .metric import MetricSpace, validate_metric
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .graphs import Graph
     from .triples import TripleSystem
 
@@ -38,9 +56,9 @@ UNIVERSES = ("hypergraphs", "one_two", "graph_metrics")
 # default cap on the edges metrizable will branch on (3**edges assignments)
 DEFAULT_EDGE_CAP = 12
 
-_TOKEN = re.compile(r"\S+")
-_RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-_INT = re.compile(r"[+-]?\d+")
+# patterns of the walk and of parse_rational, compiled on first use
+_RATIONAL = r"^[+-]?\d+(?:/\d+)?$"
+_INT = r"[+-]?\d+"
 
 
 def format_rational(q: Fraction) -> str:
@@ -51,14 +69,27 @@ def format_rational(q: Fraction) -> str:
 
 def parse_rational(token: str) -> int | Fraction:
     """Parse p as an int, or p/q, unreduced or not, as a Fraction."""
-    if not _RATIONAL.match(token):
+    if not re.match(_RATIONAL, token):
         raise BadParams(f"not a rational: {token!r}")
     if "/" in token:
+        from fractions import Fraction
+
         p, q = token.split("/")
         if int(q) == 0:
             raise BadParams("zero denominator")
         return Fraction(int(p), int(q))
     return int(token)
+
+
+def _shape(text: str) -> tuple[list[str], set[int]] | None:
+    """The tokens of the first non-blank line, and the token counts of the
+    lines after it (0 for a blank line); None if no line holds a token."""
+    lines = iter(text.splitlines())
+    for raw in lines:
+        head = raw.split()
+        if head:
+            return head, set(map(len, map(str.split, lines)))
+    return None
 
 
 def _rows(text: str) -> list[tuple[int, str, list[str]]]:
@@ -68,7 +99,7 @@ def _rows(text: str) -> list[tuple[int, str, list[str]]]:
 
 def _col(raw: str, k: int) -> int:
     """1-based column of token k of raw, or just past its last token if it has fewer."""
-    spans = [m.span() for m in _TOKEN.finditer(raw)]
+    spans = [m.span() for m in re.finditer(r"\S+", raw)]
     return spans[k][0] + 1 if k < len(spans) else spans[-1][1] + 1
 
 
@@ -76,13 +107,49 @@ def _parse_ints(
     source: str, lineno: int, raw: str, toks: list[str], names: tuple[str, ...]
 ) -> tuple[int, ...]:
     """Every token as an int; names[k] names token k if it is the first that is not one."""
-    if not all(map(_INT.fullmatch, toks)):
-        k, tok = next((k, tok) for k, tok in enumerate(toks) if not _INT.fullmatch(tok))
-        raise ParseError(source, lineno, _col(raw, k), f"{names[k]} must be an integer, got {tok!r}")
+    for k, tok in enumerate(toks):
+        if not re.fullmatch(_INT, tok):
+            raise ParseError(source, lineno, _col(raw, k), f"{names[k]} must be an integer, got {tok!r}")
     return tuple(map(int, toks))
 
 
-def load_metric_text(text: str, source: str = "<string>") -> MetricSpace:
+def _metric_table(text: str) -> tuple[list[list[int]], int] | None:
+    """The rows of a valid table as ints over a common scale, and the
+    scale; None if any check fails.
+
+    int() reads p and q as the walk's pattern does, except that it also
+    takes "_" between digits and a sign on q, which are refused first.
+    """
+    shape = _shape(text)
+    if shape is None or "_" in text or "/+" in text or "/-" in text:
+        return None
+    head, counts = shape
+    if len(head) != 1:
+        return None
+    tokens = text.split()
+    try:
+        n = int(head[0])
+        if n < 1 or not counts <= {0, n} or len(tokens) != 1 + n * n:
+            return None
+        if "/" in text:
+            # "p" gives (p, "", ""), and "p/q" gives (p, "/", q)
+            parts = list(map(str.partition, tokens[1:], repeat("/")))
+            nums = map(int, map(itemgetter(0), parts))
+            dens = [int(q) if s else 1 for _, s, q in parts]
+            if 0 in dens:
+                return None
+            scale = lcm(*dens)
+            vals = list(map(mul, nums, map(floordiv, repeat(scale), dens)))
+        else:
+            scale = 1
+            vals = list(map(int, tokens[1:]))
+    except ValueError:
+        return None
+    return [vals[i : i + n] for i in range(0, n * n, n)], scale
+
+
+def _walk_metric(text: str, source: str) -> list[list[int | Fraction]]:
+    """The table line by line, raising the first error as a ParseError."""
     rows_in = _rows(text)
     if not rows_in:
         raise ParseError(source, 1, 1, "empty input")
@@ -107,10 +174,17 @@ def load_metric_text(text: str, source: str = "<string>") -> MetricSpace:
             except BadParams as exc:
                 raise ParseError(source, lineno, _col(raw, k), str(exc)) from None
         table.append(row)
-    return validate_metric(table)
+    return table
+
+
+def load_metric_text(text: str, source: str = "<string>") -> MetricSpace:
+    rows, scale = _metric_table(text) or (_walk_metric(text, source), 1)
+    return validate_metric(rows, scale)
 
 
 def dump_metric(S: MetricSpace) -> str:
+    from fractions import Fraction
+
     s = S.scale
     entry = str if s == 1 else lambda x: format_rational(Fraction(x, s))
     lines = [str(S.n)]
@@ -118,9 +192,39 @@ def dump_metric(S: MetricSpace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_edge_list(
+def _edge_list(text: str, arity: int) -> tuple[int, frozenset[tuple[int, ...]]] | None:
+    """n and the edges of a valid edge-list text; None if any check fails.
+
+    The vertices of edge k are read from column j = 0 .. arity-1 of the
+    body, every arity-th value, so range, order and duplicates are checked
+    for all edges at once.
+    """
+    shape = _shape(text)
+    if shape is None or "_" in text:
+        return None
+    head, counts = shape
+    if len(head) != 2 or not counts <= {0, arity}:
+        return None
+    try:
+        vals = list(map(int, text.split()))
+    except ValueError:
+        return None
+    n, m = vals[0], vals[1]
+    if n < 1 or m < 0 or len(vals) != 2 + arity * m:
+        return None
+    cols = [vals[2 + j :: arity] for j in range(arity)]
+    if m and (min(cols[0]) < 0 or max(cols[-1]) >= n):
+        return None
+    if not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
+        return None
+    edges = frozenset(zip(*cols))
+    return (n, edges) if len(edges) == m else None
+
+
+def _walk_edge_list(
     text: str, source: str, arity: int, kind: str
-) -> tuple[int, list[tuple[int, ...]]]:
+) -> tuple[int, frozenset[tuple[int, ...]]]:
+    """n and the edges line by line, raising the first error as a ParseError."""
     rows = _rows(text)
     if not rows:
         raise ParseError(source, 1, 1, "empty input")
@@ -137,7 +241,6 @@ def _load_edge_list(
         where = body[-1][0] + 1 if body else lineno + 1
         raise ParseError(source, where, 1, f"expected {m} {kind} lines, found {len(body)}")
     seen: set[tuple[int, ...]] = set()
-    edges: list[tuple[int, ...]] = []
     names = ("vertex",) * arity
     for lineno, raw, toks in body:
         if len(toks) != arity:
@@ -151,15 +254,13 @@ def _load_edge_list(
         if vs in seen:
             raise ParseError(source, lineno, _col(raw, 0), f"duplicate {kind}: {' '.join(toks)}")
         seen.add(vs)
-        edges.append(vs)
-    return n, edges
+    return n, frozenset(seen)
 
 
 def load_triples_text(text: str, source: str = "<string>") -> TripleSystem:
     from .triples import TripleSystem
 
-    n, edges = _load_edge_list(text, source, 3, "triple")
-    return TripleSystem(n, frozenset(edges))
+    return TripleSystem(*(_edge_list(text, 3) or _walk_edge_list(text, source, 3, "triple")))
 
 
 def dump_triples(T: TripleSystem) -> str:
@@ -172,8 +273,7 @@ def dump_triples(T: TripleSystem) -> str:
 def load_graph_text(text: str, source: str = "<string>") -> Graph:
     from .graphs import graph_from_edges
 
-    n, edges = _load_edge_list(text, source, 2, "edge")
-    return graph_from_edges(n, edges)
+    return graph_from_edges(*(_edge_list(text, 2) or _walk_edge_list(text, source, 2, "edge")))
 
 
 def dump_graph(G: Graph) -> str:

@@ -194,14 +194,12 @@ def geodesic_path(G: Graph) -> tuple[int, ...]:
 
 
 def first_non_one_two(S: MetricSpace) -> tuple[int, int] | None:
-    """The first pair i < j, in lexicographic order, not at distance 1 or 2."""
-    one, two = S.scale, 2 * S.scale
-    allowed = {one, two}
-    for i, row in enumerate(S.scaled):
-        if not allowed.issuperset(row[i + 1 :]):
-            j = next(j for j in range(i + 1, S.n) if row[j] != one and row[j] != two)
-            return i, j
-    return None
+    """The first pair i < j, in lexicographic order, not at distance 1 or 2.
+
+    The space scans its table on the first call and keeps the answer, so
+    the many calls of distinct_line_case on one space scan it once.
+    """
+    return S.non_one_two_pair
 
 
 def is_one_two(S: MetricSpace) -> bool:

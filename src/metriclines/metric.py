@@ -27,11 +27,10 @@ which pairs generated it is not kept.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from math import lcm
-from typing import Iterable, Sequence
+from itertools import chain, combinations
+from math import gcd, lcm
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     AsymmetryError,
@@ -43,6 +42,9 @@ from .errors import (
     check_pair,
     check_points,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class MetricSpace:
@@ -77,6 +79,8 @@ class MetricSpace:
     @cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
         """The distances as Fractions, built only when read."""
+        from fractions import Fraction
+
         s = self.scale
         return tuple(tuple(Fraction(x, s) for x in row) for row in self.scaled)
 
@@ -84,6 +88,18 @@ class MetricSpace:
     def packed(self) -> tuple[int, list[int]]:
         """Bytes per field and the packed rows of scaled, as _packed_rows gives them."""
         return _packed_rows(self.scaled)
+
+    @cached_property
+    def non_one_two_pair(self) -> tuple[int, int] | None:
+        """The first pair i < j, in lexicographic order, at a distance other
+        than 1 and 2; None for a 1-2 space.  Found once per space."""
+        one, two = self.scale, 2 * self.scale
+        allowed = {one, two}
+        for i, row in enumerate(self.scaled):
+            if not allowed.issuperset(row[i + 1 :]):
+                j = next(j for j in range(i + 1, self.n) if row[j] != one and row[j] != two)
+                return i, j
+        return None
 
 
 class LineFamily:
@@ -121,32 +137,44 @@ class LineFamily:
         return any(len(ln) == self.n for ln in self.lines)
 
 
-def validate_metric(rows: Sequence[Sequence[Fraction | int | str]]) -> MetricSpace:
+def validate_metric(rows: Sequence[Sequence[Fraction | int | str]], scale: int = 1) -> MetricSpace:
     """Check the metric axioms on a square table and build a MetricSpace.
 
-    Entries may be ints, Fractions, or anything Fraction() accepts, such as
-    strings; a row of ints alone builds no Fraction.  Checks run in a fixed
-    order: shape, diagonal/positivity/symmetry swept row by row, then
-    triangle inequalities over pairs i < j (lexicographic) with the
-    intermediate point k ascending.
+    d(i,j) is rows[i][j] / scale, for a positive int scale.  Entries may be
+    ints, Fractions, or anything Fraction() accepts, such as strings; a row
+    of ints alone builds no Fraction.  Checks run in a fixed order: shape,
+    diagonal/positivity/symmetry swept row by row, then triangle
+    inequalities over pairs i < j (lexicographic) with the intermediate
+    point k ascending.
     """
     n = len(rows)
     if n < 1:
         raise TooFewPoints(n, 1)
     table = []
-    scale = 1
+    den = 1
     ints = True
     for i, row in enumerate(rows):
         if len(row) != n:
             raise BadParams(f"row {i} has {len(row)} entries, expected {n}")
-        if not all(type(x) is int for x in row):
+        if not {int}.issuperset(map(type, row)):
+            from fractions import Fraction
+
             row = [x if type(x) in (int, Fraction) else Fraction(x) for x in row]
-            scale = lcm(scale, *[x.denominator for x in row])
+            den = lcm(den, *[x.denominator for x in row])
             ints = False
         table.append(tuple(row))
     if not ints:
         # ints and Fractions alike have numerator and denominator
-        table = [tuple(x.numerator * (scale // x.denominator) for x in row) for row in table]
+        table = [tuple(x.numerator * (den // x.denominator) for x in row) for row in table]
+    if scale == 1:
+        # Fractions over the lcm of their denominators have no common factor
+        scale = den
+    else:
+        scale *= den
+        common = gcd(scale, *chain.from_iterable(table))
+        if common != 1:
+            scale //= common
+            table = [tuple(x // common for x in row) for row in table]
     S = MetricSpace(n, tuple(table), scale)
     D = S.scaled
     for i in range(n):
@@ -294,6 +322,8 @@ def extremes(S: MetricSpace) -> tuple[Fraction, Fraction, Fraction]:
     """(smallest distance, largest distance, their ratio) over distinct pairs."""
     if S.n < 2:
         raise TooFewPoints(S.n, 2)
+    from fractions import Fraction
+
     upper = [row[i + 1 :] for i, row in enumerate(S.scaled[:-1])]
     lo = min(map(min, upper))
     hi = max(map(max, upper))

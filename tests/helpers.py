@@ -2,16 +2,18 @@
 
 Everything here is written directly from the definitions, independently of
 the package internals, so the tests compare two routes to the same answer.
-Three references are former package code kept as the slow route that a
+Four references are former package code kept as the slow route that a
 faster one replaced: the per-point line loop that the packed-row kernel
-replaced, the rational elimination of the metrizability LP, and the
-generate-and-dedup enumerator at the end, which canonicalizes through the
-package's full placement search.
+replaced, the rational elimination of the metrizability LP, the per-line
+file loaders that the bulk parsers replaced, and the generate-and-dedup
+enumerator at the end, which canonicalizes through the package's full
+placement search.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -22,8 +24,11 @@ from metriclines import (
     MetricSpace,
     NonpositiveDistance,
     NonzeroDiagonal,
+    ParseError,
     TooFewPoints,
     TriangleViolation,
+    TripleSystem,
+    graph_from_edges,
     validate_metric,
 )
 from metriclines.enumeration import (
@@ -156,6 +161,110 @@ def labeled_graph_rows(n):
                 rows[i][j] = rows[j][i] = 1
         yield rows
 
+
+
+# The per-line loaders: every line is split into tokens, each token is
+# matched by a regex, and every p/q becomes a Fraction.  Blank lines are
+# skipped, and errors name the physical line and the 1-based column.
+
+
+def _ref_rows(text: str) -> list[tuple[int, str, list[str]]]:
+    return [(i, raw, toks) for i, raw in enumerate(text.splitlines(), 1) if (toks := raw.split())]
+
+
+def _ref_col(raw: str, k: int) -> int:
+    spans = [m.span() for m in re.finditer(r"\S+", raw)]
+    return spans[k][0] + 1 if k < len(spans) else spans[-1][1] + 1
+
+
+def _ref_ints(source, lineno, raw, toks, names) -> tuple[int, ...]:
+    for k, tok in enumerate(toks):
+        if not re.fullmatch(r"[+-]?\d+", tok):
+            raise ParseError(source, lineno, _ref_col(raw, k), f"{names[k]} must be an integer, got {tok!r}")
+    return tuple(map(int, toks))
+
+
+def _ref_rational(token: str):
+    if not re.match(r"^[+-]?\d+(?:/\d+)?$", token):
+        raise BadParams(f"not a rational: {token!r}")
+    if "/" in token:
+        p, q = token.split("/")
+        if int(q) == 0:
+            raise BadParams("zero denominator")
+        return Fraction(int(p), int(q))
+    return int(token)
+
+
+def reference_load_metric_text(text: str, source: str = "<string>") -> MetricSpace:
+    rows_in = _ref_rows(text)
+    if not rows_in:
+        raise ParseError(source, 1, 1, "empty input")
+    lineno, raw, toks = rows_in[0]
+    if len(toks) != 1:
+        raise ParseError(source, lineno, _ref_col(raw, 1), "first line must hold n alone")
+    (n,) = _ref_ints(source, lineno, raw, toks, ("n",))
+    if n < 1:
+        raise ParseError(source, lineno, _ref_col(raw, 0), f"n must be at least 1, got {n}")
+    body = rows_in[1:]
+    if len(body) != n:
+        where = body[-1][0] + 1 if body else lineno + 1
+        raise ParseError(source, where, 1, f"expected {n} rows, found {len(body)}")
+    table = []
+    for lineno, raw, toks in body:
+        if len(toks) != n:
+            raise ParseError(source, lineno, _ref_col(raw, n), f"expected {n} values, found {len(toks)}")
+        row = []
+        for k, tok in enumerate(toks):
+            try:
+                row.append(_ref_rational(tok))
+            except BadParams as exc:
+                raise ParseError(source, lineno, _ref_col(raw, k), str(exc)) from None
+        table.append(row)
+    return validate_metric(table)
+
+
+def _ref_edge_list(text: str, source: str, arity: int, kind: str):
+    rows = _ref_rows(text)
+    if not rows:
+        raise ParseError(source, 1, 1, "empty input")
+    lineno, raw, toks = rows[0]
+    if len(toks) != 2:
+        raise ParseError(source, lineno, _ref_col(raw, 2), "first line must hold n and m")
+    n, m = _ref_ints(source, lineno, raw, toks, ("n", "m"))
+    if n < 0 or m < 0:
+        raise ParseError(source, lineno, _ref_col(raw, 0), "n and m must be nonnegative")
+    if n < 1:
+        raise ParseError(source, lineno, _ref_col(raw, 0), f"n must be at least 1, got {n}")
+    body = rows[1:]
+    if len(body) != m:
+        where = body[-1][0] + 1 if body else lineno + 1
+        raise ParseError(source, where, 1, f"expected {m} {kind} lines, found {len(body)}")
+    seen = set()
+    edges = []
+    for lineno, raw, toks in body:
+        if len(toks) != arity:
+            raise ParseError(source, lineno, _ref_col(raw, arity), f"expected {arity} vertices, found {len(toks)}")
+        vs = _ref_ints(source, lineno, raw, toks, ("vertex",) * arity)
+        for k, v in enumerate(vs):
+            if not 0 <= v < n:
+                raise ParseError(source, lineno, _ref_col(raw, k), f"vertex {v} out of range for n={n}")
+        if any(a >= b for a, b in zip(vs, vs[1:])):
+            raise ParseError(source, lineno, _ref_col(raw, 0), f"{kind} must be strictly increasing: {' '.join(toks)}")
+        if vs in seen:
+            raise ParseError(source, lineno, _ref_col(raw, 0), f"duplicate {kind}: {' '.join(toks)}")
+        seen.add(vs)
+        edges.append(vs)
+    return n, edges
+
+
+def reference_load_triples_text(text: str, source: str = "<string>") -> TripleSystem:
+    n, edges = _ref_edge_list(text, source, 3, "triple")
+    return TripleSystem(n, frozenset(edges))
+
+
+def reference_load_graph_text(text: str, source: str = "<string>"):
+    n, edges = _ref_edge_list(text, source, 2, "edge")
+    return graph_from_edges(n, edges)
 
 
 # Generate-and-dedup enumeration, the slow reference for orderly generation:

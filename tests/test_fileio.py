@@ -1,14 +1,21 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclines import (
     BadParams,
+    MetricLinesError,
     ParseError,
     TripleSystem,
+    balanced_group_space,
+    betweenness_triples,
     dump_graph,
     dump_metric,
     dump_triples,
@@ -20,7 +27,13 @@ from metriclines import (
     parse_rational,
     triple_system,
 )
-from helpers import random_rational_space
+from metriclines import fileio
+from helpers import (
+    random_rational_space,
+    reference_load_graph_text,
+    reference_load_metric_text,
+    reference_load_triples_text,
+)
 
 
 class TestRationals:
@@ -180,3 +193,175 @@ class TestTripleSystemEdges:
         with pytest.raises(BadParams) as exc:
             TripleSystem(5, frozenset({edge}))
         assert str(exc.value) == message
+
+
+# Every line break str.splitlines knows, whitespace that only str.split
+# knows, and the characters a token is made of.
+LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+SPACES = (" ", "\t", "\x1f", "\xa0", "\u3000")
+NOISE = (*LINE_BREAKS, *SPACES, "+", "-", "/", "0", "2", "\u0663", "_", "x")
+ARABIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+# off-diagonal distances within [2, 4], so that every symmetric table is a metric
+DISTANCES = (Fraction(2), Fraction(3), Fraction(4), Fraction(5, 2), Fraction(7, 3), Fraction(11, 4))
+
+
+def digits(draw, v: int) -> str:
+    """v >= 0 with or without a leading zero, in ASCII or Arabic-Indic digits."""
+    text = "0" * draw(st.integers(0, 1)) + str(v)
+    return text.translate(ARABIC_DIGITS) if draw(st.booleans()) else text
+
+
+def integer_token(draw, v: int) -> str:
+    sign = "-" if v < 0 else draw(st.sampled_from(("", "", "+")))
+    return sign + digits(draw, abs(v))
+
+
+def rational_token(draw, q: Fraction) -> str:
+    if q.denominator == 1 and draw(st.booleans()):
+        return integer_token(draw, q.numerator)
+    k = draw(st.integers(1, 3))
+    return f"{integer_token(draw, q.numerator * k)}/{digits(draw, q.denominator * k)}"
+
+
+def layout(draw, lines: list[list[str]]) -> str:
+    """The token lines joined by drawn whitespace, with blank lines between,
+    then up to three edits: a character of NOISE written over, inserted
+    or a character deleted."""
+    space = st.sampled_from(SPACES)
+    out = []
+    for toks in lines:
+        for _ in range(draw(st.integers(0, 2))):
+            out.append(draw(space) * draw(st.integers(0, 1)))
+        line = toks[0]
+        for tok in toks[1:]:
+            line += draw(space) + tok
+        pad = draw(space) * draw(st.integers(0, 1))
+        out.append(pad + line + pad)
+    text = "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in out)
+    for _ in range(draw(st.integers(0, 3))):
+        if not text:
+            break
+        at = draw(st.integers(0, len(text) - 1))
+        ch = draw(st.sampled_from(NOISE))
+        kind = draw(st.sampled_from(("over", "insert", "delete")))
+        rest = text[at + 1 :] if kind != "insert" else text[at:]
+        text = text[:at] + ("" if kind == "delete" else ch) + rest
+    return text
+
+
+@st.composite
+def edge_texts(draw, arity: int) -> str:
+    n = draw(st.integers(1, 7))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), arity)) or [()]), unique=True))
+    edges = [e for e in edges if e]
+    lines = [[integer_token(draw, n), integer_token(draw, len(edges))]]
+    lines += [[integer_token(draw, v) for v in e] for e in edges]
+    return layout(draw, lines)
+
+
+@st.composite
+def metric_texts(draw) -> str:
+    n = draw(st.integers(1, 5))
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        d[i][j] = d[j][i] = draw(st.sampled_from(DISTANCES))
+    lines = [[integer_token(draw, n)]] + [[rational_token(draw, x) for x in row] for row in d]
+    return layout(draw, lines)
+
+
+def any_text(structured):
+    return st.one_of(structured, st.lists(st.sampled_from(NOISE), max_size=30).map("".join))
+
+
+def outcome(load, text: str):
+    """What load does with text: its value, or its error's type and message."""
+    try:
+        return "value", load(text, source="p.txt")
+    except (MetricLinesError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def unreachable(*args):
+    raise AssertionError("valid input reached the per-line walk")
+
+
+def assert_matches_reference(load, reference, walk: str, text: str) -> None:
+    """load and its per-line reference agree on text, and unless the text
+    fails to parse, load never runs the walk."""
+    expected = outcome(reference, text)
+    with pytest.MonkeyPatch.context() as mp:
+        if expected[0] is not ParseError:
+            mp.setattr(fileio, walk, unreachable)
+        assert outcome(load, text) == expected
+
+
+class TestBulkParsersMatchTheWalk:
+    """The bulk loaders against the per-line loaders they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_text(metric_texts()))
+    def test_metric(self, text):
+        assert_matches_reference(load_metric_text, reference_load_metric_text, "_walk_metric", text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_text(edge_texts(3)))
+    def test_triples(self, text):
+        assert_matches_reference(load_triples_text, reference_load_triples_text, "_walk_edge_list", text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_text(edge_texts(2)))
+    def test_graph(self, text):
+        assert_matches_reference(load_graph_text, reference_load_graph_text, "_walk_edge_list", text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\r\n\u20283\r\n0 2 5/2\x0b+2 0 4/2\r\n\x1c10/4\xa0\u0662 0\x85",
+            "2\n0 -1/2\n-1/2 0\n",
+            "2\n0 1/+2\n1/2 0\n",
+            "2\n0 1_0\n10 0\n",
+            "2\n0 1/0\n1 0\n",
+            "2\n0 1/\n1 0\n",
+            "2\n0 /2\n1 0\n",
+            "1\n0/7\n",
+            "3\n0 2/6 1/3\n1/3 0 1/3\n1/3 1/3 0\n",
+            "2\n0 1/2\n1/3 0\n",
+            "3\n0 1 4/2\n1 0 1/2\n2 1/2 0\n",
+        ],
+    )
+    def test_metric_cases(self, text):
+        assert_matches_reference(load_metric_text, reference_load_metric_text, "_walk_metric", text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\x0c\r\n5\t2\u2029\x1f0 +1 \u0663\x1e\n\n1 2 04\n",
+            "5 0\n\n",
+            "5 1\n0 1 2 3\n",
+            "5 2\n0 1 2\n0 1\n2\n",
+            "5 1\n0 1_0 2\n",
+            "5 1\n0 1 0_3\n",
+            "5 0_1\n0 1 2\n",
+            "5 1\n-1 0 2\n",
+            "5 2\n0 1 2\n0 1 +2\n",
+            "5 -1\n",
+        ],
+    )
+    def test_triples_cases(self, text):
+        assert_matches_reference(load_triples_text, reference_load_triples_text, "_walk_edge_list", text)
+
+
+def test_triples_parse_peak_memory():
+    """The 13,050 triples of an 80-point balanced group space load within
+    4 MB of traced allocations; the per-line loader took 7.2 MB."""
+    text = dump_triples(betweenness_triples(balanced_group_space(80)))
+    assert text.count("\n") == 13_051
+    load_triples_text("3 1\n0 1 2\n")  # imports triples before tracing
+    tracemalloc.start()
+    try:
+        T = load_triples_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(T.edges) == 13_050
+    assert peak < 4_000_000, peak

@@ -47,6 +47,14 @@ SYSTEMS = ("triples3",)
 # Fano is not metrizable; triples6 and triples8 find their first feasible
 # branch at 134 and 758, so their witnesses pin the elimination's output
 METRIZABLE = (*SYSTEMS, "fano", "triples6", "triples8")
+# all 1,140 triples on 20 points, one of them replaced by a bad line
+LATE_ERRORS = (
+    "late_duplicate",
+    "late_unsorted",
+    "late_out_of_range",
+    "late_four_tokens",
+    "late_non_integer",
+)
 
 # (case name, output format, argv after --format, input file or None,
 # expected exit code)
@@ -85,6 +93,16 @@ CASES = (
     ("parse-short_row", "json", ["lines"], "short_row", 3),
     # integer and fraction tokens, with d(1,2) = 2 > d(1,3) + d(3,2) = 3/2
     ("validate-triangle_mixed", "json", ["lines"], "triangle_mixed", 3),
+    # CRLF line ends, leading and interior blank lines, tabs, +3 and an
+    # unreduced 2/4
+    ("lines-crlf_metric", "json", ["lines"], "crlf_metric", 0),
+    ("triples-crlf_metric", "json", ["triples"], "crlf_metric", 0),
+    ("hyperlines-crlf_triples", "json", ["hyperlines"], "crlf_triples", 0),
+    # one bad line at line 1103 of a 1,142-line triple file, and the two
+    # malformed rationals of a table
+    *((f"parse-{name}", "json", ["hyperlines"], name, 3) for name in LATE_ERRORS),
+    ("parse-zero_denominator", "json", ["lines"], "zero_denominator", 3),
+    ("parse-double_slash", "json", ["lines"], "double_slash", 3),
 )
 
 

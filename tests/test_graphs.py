@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from metriclines import (
     DisconnectedGraph,
     Graph,
     IndexOutOfRange,
+    MetricSpace,
     NotOneTwoSpace,
     adjacency_from_rows,
     are_twins,
@@ -32,7 +34,6 @@ from metriclines import (
     uniform_space,
     validate_metric,
 )
-import metriclines.graphs as graphs_mod
 from metriclines.graphs import graph_dist_rows, onetwo_line_masks
 from metriclines.metric import int_metric_line_masks
 from helpers import labeled_graph_rows, oracle_line_sets
@@ -228,19 +229,23 @@ class TestDistinctLineCases:
         with pytest.raises(NotOneTwoSpace):
             distinct_line_case(S, "i", (0, 1, 2, 3))
 
-    def test_table_checked_once_per_call(self, monkeypatch):
-        calls = []
-        check = graphs_mod.first_non_one_two
-        monkeypatch.setattr(graphs_mod, "first_non_one_two", lambda S: calls.append(S) or check(S))
+    def test_table_checked_once_per_space(self, monkeypatch):
+        scans = []
+        scan = MetricSpace.non_one_two_pair.func
+        counted = cached_property(lambda S: scans.append(S) or scan(S))
+        counted.__set_name__(MetricSpace, "non_one_two_pair")
+        monkeypatch.setattr(MetricSpace, "non_one_two_pair", counted)
         # in group_space(3, 3) the points of cases iii-v meet the distance
         # part of their hypothesis, so each reaches its twin test
-        for case, pts in (
+        cases = (
             ("i", (0, 3, 6, 1)), ("ii", (0, 3, 1, 2)), ("iii", (0, 1, 3, 4)),
             ("iv", (0, 3, 6)), ("v", (0, 3, 4)), ("vi", (1, 0, 2)),
-        ):
-            calls.clear()
-            distinct_line_case(self.S, case, pts)
-            assert len(calls) == 1, case
+        )
+        first, second = group_space(3, 3), group_space(3, 3)
+        for S in (first, second, first):
+            for case, pts in cases:
+                distinct_line_case(S, case, pts)
+        assert [S is first for S in scans] == [True, False]
 
     def test_case_i_on_all_ones(self):
         S = uniform_space(4, 1)
