@@ -47,7 +47,7 @@ _EXPORTS = {
             "graphs",
             "Graph adjacency_from_rows are_twins diameter distinct_line_case find_twins "
             "geodesic_path graph_from_edges graph_metric graph_to_space is_connected "
-            "is_one_two max_clique_size maximal_twin_free space_to_graph",
+            "max_clique_size maximal_twin_free space_to_graph",
         ),
         (
             "metric",

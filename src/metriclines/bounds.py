@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import BadParams
+from .errors import BadParams, Record
 
 Rational = Union[int, Fraction]
 
@@ -61,8 +61,12 @@ def int_nthroot(a: int, k: int) -> tuple[int, bool]:
     return r, r ** k == a
 
 
-class PowerBound:
+class PowerBound(Record):
     """The number base**(1/root) with base a nonnegative rational."""
+
+    base: Fraction
+    root: int
+    shift: Fraction
 
     def __init__(self, base: Fraction, root: int, shift: Fraction = Fraction(0)):
         if root < 1:
@@ -72,20 +76,6 @@ class PowerBound:
         self.base = base
         self.root = root
         self.shift = shift
-
-    def _key(self):
-        return self.base, self.root, self.shift
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"PowerBound(base={self.base!r}, root={self.root!r}, shift={self.shift!r})"
 
     def compare(self, q: Rational) -> int:
         """Sign of (value - q), decided exactly."""

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the point-index checks.
+"""Exception types shared across the package, the point-index checks, and
+Record, the base of the package's value and result classes.
 
 Everything raised on purpose derives from MetricLinesError, so callers can
 catch one base class.  Validation errors carry the offending indices as
@@ -7,6 +8,43 @@ the input), which the tests rely on.
 """
 
 from __future__ import annotations
+
+
+class Record:
+    """A value whose fields are its class annotations, in declaration order.
+
+    Records of one class are equal when their fields are; a record never
+    equals an object of another class, a tuple included.  The repr lists
+    the fields in order, and the hash is that of their tuple.  Nothing
+    assigns to a record's fields after construction.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args), **kwargs)
+        # a surplus positional is dropped by zip, a repeated field merged
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(self._fields):
+            raise TypeError(f"{self.__class__.__name__} takes the fields {', '.join(self._fields)}")
+        self.__dict__.update(values)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__name__}({body})"
 
 
 class MetricLinesError(Exception):

@@ -13,9 +13,9 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .bounds import Rational, power_bound
-from .errors import BadParams, PreconditionUnmet, TooFewPoints, XInsideT, check_points
+from .errors import BadParams, PreconditionUnmet, Record, TooFewPoints, XInsideT, check_points
 from .fileio import CONSTRUCT_KINDS, format_rational
-from .graphs import Graph, first_non_one_two, graph_dist_rows, graph_from_edges, is_connected
+from .graphs import Graph, graph_dist_rows, graph_from_edges, is_connected
 from .metric import (
     MetricSpace,
     extremes,
@@ -30,22 +30,13 @@ from .triples import TripleSystem, hyper_line
 Instance = Union[MetricSpace, Graph]
 
 
-class BoundReport:
-    def __init__(
-        self,
-        bound_id: str,
-        params: Mapping[str, Rational],
-        lines_found: int,
-        bound_lo: Fraction,
-        bound_hi: Fraction,
-        passed: bool,
-    ):
-        self.bound_id = bound_id
-        self.params = params
-        self.lines_found = lines_found
-        self.bound_lo = bound_lo
-        self.bound_hi = bound_hi
-        self.passed = passed
+class BoundReport(Record):
+    bound_id: str
+    params: Mapping[str, Rational]
+    lines_found: int
+    bound_lo: Fraction
+    bound_hi: Fraction
+    passed: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -219,7 +210,7 @@ def check_bound(instance: Instance, bound_id: str) -> BoundReport:
     elif bound_id == "onetwo_lower":
         if not isinstance(instance, MetricSpace):
             raise BadParams("onetwo_lower bound takes a metric space")
-        if first_non_one_two(instance) is not None:
+        if instance.non_one_two_pair is not None:
             raise PreconditionUnmet("onetwo_lower bound needs all distances in {1, 2}")
         params = {"n": instance.n}
         count = line_family(instance).count

@@ -40,7 +40,7 @@ from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 from math import gcd, lcm
 
-from .errors import BadParams, SizeCap, SolverFailure, TooFewPoints, TooManyAssignments
+from .errors import BadParams, Record, SizeCap, SolverFailure, TooFewPoints, TooManyAssignments
 from .fileio import DEFAULT_EDGE_CAP
 from .lp import maximize_scaled
 from .metric import MetricSpace, validate_metric
@@ -54,25 +54,17 @@ MAX_METRIZABLE_N = 10
 _AUTOMORPHISM_CAP = 1024
 
 
-class FeasibilityResult:
-    def __init__(
-        self,
-        metrizable: bool,
-        witness: MetricSpace | None,
-        assignments_tried: int,
-        best_margin: Fraction,
-    ):
-        self.metrizable = metrizable
-        self.witness = witness
-        self.assignments_tried = assignments_tried
-        self.best_margin = best_margin
+class FeasibilityResult(Record):
+    metrizable: bool
+    witness: MetricSpace | None
+    assignments_tried: int
+    best_margin: Fraction
 
 
-class _Problem:
-    def __init__(self, n: int, cap: Fraction, edges: tuple[tuple[int, int, int], ...]):
-        self.n = n
-        self.cap = cap
-        self.edges = edges
+class _Problem(Record):
+    n: int
+    cap: Fraction
+    edges: tuple[tuple[int, int, int], ...]
 
 
 def _pairs(n: int) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
@@ -361,9 +353,10 @@ def _scan(
 ) -> tuple[int | None, Fraction, list[Fraction] | None, int]:
     """Decide branches in counter order, skipping images of infeasible ones.
 
-    Returns the first feasible branch, the best margin, that branch's
-    distances and the number of branches decided.  With autos holding only
-    the identity, every branch up to the first feasible one is decided.
+    Returns the first feasible branch, its margin (the best margin: every
+    other branch has margin 0), its distances and the number of branches
+    decided; with no feasible branch, None, 0 and None.  With autos holding
+    only the identity, every branch up to the first feasible one is decided.
     """
     pairs, pidx = _pairs(prob.n)
     opts = _edge_options(prob, pidx)
@@ -372,7 +365,6 @@ def _scan(
     maps = _branch_maps(prob.edges, autos)
     m = len(prob.edges)
     pending: set[int] = set()
-    best = Fraction(0)
     decided = 0
     for a in range(3**m):
         if a in pending:
@@ -380,16 +372,14 @@ def _scan(
             continue
         decided += 1
         margin, dists = _decide_branch(prob, opts, pairs, pidx, nonedge, a)
-        if margin > best:
-            best = margin
         if dists is not None:
-            return a, best, dists, decided
+            return a, margin, dists, decided
         digits = [a // 3**k % 3 for k in range(m)]
         for per_edge in maps:
             image = sum(w[d] for w, d in zip(per_edge, digits))
             if image > a:
                 pending.add(image)
-    return None, best, None, decided
+    return None, Fraction(0), None, decided
 
 
 def _witness_from(prob: _Problem, dists: list[Fraction]) -> MetricSpace:

@@ -31,14 +31,18 @@ from .errors import (
     BadParams,
     DisconnectedGraph,
     NotOneTwoSpace,
+    Record,
     check_pair,
     check_points,
 )
 from .metric import MetricSpace, pair_line_masks, validate_metric
 
 
-class Graph:
+class Graph(Record):
     """Undirected graph on 0..n-1; adj[u] is the neighbor set of u as a bitmask."""
+
+    n: int
+    adj: tuple[int, ...]
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         if n < 1:
@@ -59,20 +63,6 @@ class Graph:
                     raise BadParams(f"adjacency not symmetric at ({min(u, v)},{max(u, v)})")
         self.n = n
         self.adj = adj
-
-    def _key(self):
-        return self.n, self.adj
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"Graph(n={self.n!r}, adj={self.adj!r})"
 
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -193,21 +183,8 @@ def geodesic_path(G: Graph) -> tuple[int, ...]:
     return tuple(path)
 
 
-def first_non_one_two(S: MetricSpace) -> tuple[int, int] | None:
-    """The first pair i < j, in lexicographic order, not at distance 1 or 2.
-
-    The space scans its table on the first call and keeps the answer, so
-    the many calls of distinct_line_case on one space scan it once.
-    """
-    return S.non_one_two_pair
-
-
-def is_one_two(S: MetricSpace) -> bool:
-    return first_non_one_two(S) is None
-
-
 def _require_one_two(S: MetricSpace) -> None:
-    pair = first_non_one_two(S)
+    pair = S.non_one_two_pair
     if pair is not None:
         raise NotOneTwoSpace(*pair)
 

@@ -18,16 +18,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import SolverFailure
+from .errors import Record, SolverFailure
 
 _STALL_LIMIT = 30
 _MAX_PIVOTS = 100_000
 
 
-class SimplexSolution:
-    def __init__(self, value: Fraction, x: tuple[Fraction, ...]):
-        self.value = value
-        self.x = x
+class SimplexSolution(Record):
+    value: Fraction
+    x: tuple[Fraction, ...]
 
 
 def maximize_scaled(

@@ -37,6 +37,7 @@ from .errors import (
     BadParams,
     NonpositiveDistance,
     NonzeroDiagonal,
+    Record,
     TooFewPoints,
     TriangleViolation,
     check_pair,
@@ -47,34 +48,22 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class MetricSpace:
+class MetricSpace(Record):
     """A finite metric space: d(i,j) is scaled[i][j] / scale.
 
     Nothing is checked here.  The caller passes a metric in lowest terms,
     gcd(scale, *entries) == 1, as validate_metric and graph_to_space do, so
-    each space has one (n, scale, scaled) for equality, hashing and repr.
+    each space has one (n, scaled, scale) for equality, hashing and repr.
     dist (the Fractions) and packed (the kernel's rows) are built on first
-    use.  Instances are values: nothing assigns to their fields afterwards.
+    use.
     """
 
+    n: int
+    scaled: tuple[tuple[int, ...], ...]
+    scale: int
+
     def __init__(self, n: int, scaled: tuple[tuple[int, ...], ...], scale: int = 1):
-        self.n = n
-        self.scaled = scaled
-        self.scale = scale
-
-    def _key(self):
-        return self.n, self.scale, self.scaled
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"MetricSpace(n={self.n!r}, scaled={self.scaled!r}, scale={self.scale!r})"
+        super().__init__(n, scaled, scale)
 
     @cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -102,7 +91,7 @@ class MetricSpace:
         return None
 
 
-class LineFamily:
+class LineFamily(Record):
     """All distinct lines of a space, in a canonical order.
 
     Each line is its sorted point tuple, and the lines are sorted, so the
@@ -110,24 +99,9 @@ class LineFamily:
     accumulated.  pair_count is the number of pairs the lines came from.
     """
 
-    def __init__(self, n: int, lines: tuple[tuple[int, ...], ...], pair_count: int):
-        self.n = n
-        self.lines = lines
-        self.pair_count = pair_count
-
-    def _key(self):
-        return self.n, self.lines, self.pair_count
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"LineFamily(n={self.n!r}, lines={self.lines!r}, pair_count={self.pair_count!r})"
+    n: int
+    lines: tuple[tuple[int, ...], ...]
+    pair_count: int
 
     @property
     def count(self) -> int:

@@ -13,7 +13,7 @@ import time
 from typing import Any, Callable, Iterator, Mapping, Union
 
 from .enumeration import MAX_GRAPH_N, MAX_TRIPLES_N, enum_graphs, enum_triple_systems
-from .errors import BadParams, EmptyUniverse, SizeCap
+from .errors import BadParams, EmptyUniverse, Record, SizeCap
 from .fileio import UNIVERSES, dump_graph, dump_triples
 from .graphs import Graph, graph_dist_rows, onetwo_line_masks
 from .metric import int_metric_line_masks
@@ -47,24 +47,14 @@ _SPECS: dict[str, tuple[int, bool, Callable[[int], list], Callable[[Any], list]]
 }
 
 
-class SearchReport:
-    def __init__(
-        self,
-        universe: str,
-        n: int,
-        exclude_universal: bool,
-        minimum: int,
-        witness: Union[TripleSystem, Graph],
-        instances_examined: int,
-        elapsed: float,
-    ):
-        self.universe = universe
-        self.n = n
-        self.exclude_universal = exclude_universal
-        self.minimum = minimum
-        self.witness = witness
-        self.instances_examined = instances_examined
-        self.elapsed = elapsed
+class SearchReport(Record):
+    universe: str
+    n: int
+    exclude_universal: bool
+    minimum: int
+    witness: Union[TripleSystem, Graph]
+    instances_examined: int
+    elapsed: float
 
     def witness_text(self) -> str:
         if isinstance(self.witness, TripleSystem):
@@ -85,20 +75,12 @@ class SearchReport:
         return out
 
 
-class ScanReport:
-    def __init__(
-        self,
-        n_max: int,
-        violators: tuple[Graph, ...],
-        minima: Mapping[int, int],
-        instances_examined: int,
-        elapsed: float,
-    ):
-        self.n_max = n_max
-        self.violators = violators
-        self.minima = minima
-        self.instances_examined = instances_examined
-        self.elapsed = elapsed
+class ScanReport(Record):
+    n_max: int
+    violators: tuple[Graph, ...]
+    minima: Mapping[int, int]
+    instances_examined: int
+    elapsed: float
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
         out = {

@@ -12,11 +12,11 @@ from __future__ import annotations
 from itertools import combinations
 from operator import itemgetter, lt
 
-from .errors import BadParams, TooFewPoints, XInsideT, check_pair, check_points
+from .errors import BadParams, Record, TooFewPoints, XInsideT, check_pair, check_points
 from .metric import LineFamily, MetricSpace, family_from_masks, int_metric_line_masks, mask_points
 
 
-class TripleSystem:
+class TripleSystem(Record):
     """A 3-uniform hypergraph; edges are stored as sorted tuples.
 
     A nonempty frozenset of sorted tuples in range, as the parser, the
@@ -25,25 +25,14 @@ class TripleSystem:
     checked edge by edge.
     """
 
+    n: int
+    edges: frozenset[tuple[int, int, int]]
+
     def __init__(self, n: int, edges: frozenset[tuple[int, int, int]]):
         if n < 1:
             raise TooFewPoints(n, 1)
         self.n = n
         self.edges = edges if _sorted_in_range(n, edges) else _sorted_triples(n, edges)
-
-    def _key(self):
-        return self.n, self.edges
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"TripleSystem(n={self.n!r}, edges={self.edges!r})"
 
     def sorted_edges(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(sorted(self.edges))
@@ -110,13 +99,14 @@ def hyper_line(T: TripleSystem, u: int, v: int) -> frozenset[int]:
 
 def triple_line_masks(T: TripleSystem) -> list[int]:
     """Point-set bitmask of every hyperline, one entry per vertex pair u < v."""
-    pairs = list(combinations(range(T.n), 2))
-    index = {pair: k for k, pair in enumerate(pairs)}
-    masks = [(1 << u) | (1 << v) for u, v in pairs]
+    n = T.n
+    # pair (u, v) sits at its lexicographic rank u*(2n-u-1)/2 + v-u-1
+    start = [u * (2 * n - u - 1) // 2 - u - 1 for u in range(n)]
+    masks = [(1 << u) | (1 << v) for u, v in combinations(range(n), 2)]
     for a, b, c in T.edges:
-        masks[index[(a, b)]] |= 1 << c
-        masks[index[(a, c)]] |= 1 << b
-        masks[index[(b, c)]] |= 1 << a
+        masks[start[a] + b] |= 1 << c
+        masks[start[a] + c] |= 1 << b
+        masks[start[b] + c] |= 1 << a
     return masks
 
 

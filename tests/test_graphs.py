@@ -27,7 +27,6 @@ from metriclines import (
     graph_to_space,
     group_space,
     is_connected,
-    is_one_two,
     max_clique_size,
     maximal_twin_free,
     space_to_graph,
@@ -155,7 +154,7 @@ class TestOneTwoCorrespondence:
 
     def test_backward_requires_one_two(self):
         S = graph_metric(graph_from_edges(4, [(0, 1), (1, 2), (2, 3)]))
-        assert not is_one_two(S)
+        assert S.non_one_two_pair is not None
         with pytest.raises(NotOneTwoSpace):
             space_to_graph(S)
 

@@ -35,13 +35,12 @@ from metriclines import (
     enum_graphs,
     graph_from_edges,
     graph_to_space,
-    is_one_two,
     line_family,
     line_of,
     space_to_graph,
     validate_metric,
 )
-from metriclines.graphs import first_non_one_two, graph_dist_rows
+from metriclines.graphs import graph_dist_rows
 from metriclines.metric import _packed_rows, int_metric_line_masks, mask_points
 from helpers import (
     floyd_closure,
@@ -223,8 +222,7 @@ class TestOneTwoCheck:
         # scaled by 2, the distances 1/2 and 1 become 1 and 2
         S = validate_metric([[0, Fraction(1, 2), 1], [Fraction(1, 2), 0, 1], [1, 1, 0]])
         assert S.scaled == ((0, 1, 2), (1, 0, 2), (2, 2, 0))
-        assert first_non_one_two(S) == (0, 1)
-        assert not is_one_two(S)
+        assert S.non_one_two_pair == (0, 1)
         with pytest.raises(NotOneTwoSpace) as exc:
             space_to_graph(S)
         assert (exc.value.i, exc.value.j) == (0, 1)
@@ -235,14 +233,14 @@ class TestOneTwoCheck:
         h = Fraction(3, 2)
         rows = [[0, 1, 2, 1], [1, 0, 2, h], [2, 2, 0, 2], [1, h, 2, 0]]
         S = validate_metric(rows)
-        assert first_non_one_two(S) == (1, 3)
+        assert S.non_one_two_pair == (1, 3)
         with pytest.raises(NotOneTwoSpace) as exc:
             space_to_graph(S)
         assert (exc.value.i, exc.value.j) == (1, 3)
 
     def test_one_two_spaces_pass(self):
         S = graph_to_space(graph_from_edges(5, [(0, 1), (2, 3)]))
-        assert first_non_one_two(S) is None and is_one_two(S)
+        assert S.non_one_two_pair is None
         assert check_bound(S, "onetwo_lower").lines_found == line_family(S).count
 
 

@@ -1,4 +1,5 @@
-"""The package's public names and the names the benchmark tracer patches.
+"""The package's public names, its imports and records, and the names the
+benchmark tracer patches.
 
 bench/tracer.py wraps program functions under the names their callers look
 them up by, and its counters read attributes of what those functions return.
@@ -9,6 +10,7 @@ first; a counter whose attribute is gone crashes the traced op.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -20,6 +22,12 @@ from pathlib import Path
 import pytest
 
 import metriclines
+from metriclines.bounds import ALPHA
+from metriclines.extremal import path_graph, pentagon
+from metriclines.feasibility import FeasibilityResult
+from metriclines.metric import line_family
+from metriclines.search import SearchReport
+from metriclines.triples import fano
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -77,3 +85,71 @@ def test_traced_counters_resolve(tmp_path, argv, counter):
     dump = json.loads(record.read_text(encoding="utf-8"))
     assert dump["missing"] == []
     assert dump["counts"][counter] > 0
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(Path(metriclines.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        # annotations are Name nodes too, postponed or not
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
+# recorded before the value classes moved onto Record
+REPRS = (
+    (
+        pentagon,
+        "MetricSpace(n=5, scaled=((0, 1, 2, 2, 1), (1, 0, 1, 2, 2), (2, 1, 0, 1, 2), "
+        "(2, 2, 1, 0, 1), (1, 2, 2, 1, 0)), scale=1)",
+    ),
+    (
+        lambda: line_family(pentagon()),
+        "LineFamily(n=5, lines=((0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), "
+        "(0, 1, 4), (0, 2, 3, 4), (0, 3, 4), (1, 2, 3), (1, 2, 3, 4), (2, 3, 4)), "
+        "pair_count=10)",
+    ),
+    (lambda: path_graph(2), "Graph(n=3, adj=(2, 5, 2))"),
+    (
+        fano,
+        "TripleSystem(n=7, edges=frozenset({(3, 4, 6), (0, 1, 3), (2, 3, 5), (1, 5, 6), "
+        "(0, 2, 6), (0, 4, 5), (1, 2, 4)}))",
+    ),
+    (lambda: ALPHA, "PowerBound(base=Fraction(1, 128), root=3, shift=Fraction(0, 1))"),
+)
+
+
+@pytest.mark.parametrize("make,text", REPRS, ids=[r[1].split("(")[0] for r in REPRS])
+def test_value_reprs(make, text):
+    assert repr(make()) == text
+
+
+SEARCH_FIELDS = ("hypergraphs", 4, True, 3, fano(), 10, 0.5)
+FEASIBILITY_FIELDS = (True, pentagon(), 1, 1)
+
+
+@pytest.mark.parametrize(
+    "cls,values", [(SearchReport, SEARCH_FIELDS), (FeasibilityResult, FEASIBILITY_FIELDS)]
+)
+def test_record_construction(cls, values):
+    record = cls(*values)
+    assert record == cls(**dict(zip(cls._fields, values)))
+    assert record == cls(*values[:2], **dict(zip(cls._fields[2:], values[2:])))
+    assert hash(record) == hash(cls(*values))
+    assert record != values and record != cls(*values[:-1], values[-1] * 2)
+    with pytest.raises(TypeError):
+        cls(*values[:-1])  # missing
+    with pytest.raises(TypeError):
+        cls(*values, extra=1)  # unknown
+    with pytest.raises(TypeError):
+        cls(*values, values[0])  # one too many
+    with pytest.raises(TypeError):
+        cls(*values, **{cls._fields[0]: values[0]})  # repeated
