@@ -179,15 +179,15 @@ def predicted_group_lines(k: int, m: int) -> int:
 def check_bound(instance: Instance, bound_id: str) -> BoundReport:
     """Count the instance's lines and compare against a named bound.
 
-    range takes any metric space with at least two points; diam and
-    graphs_corollary take a connected graph whose metric has no universal
-    line; onetwo_lower takes a space with all distances in {1, 2}.
+    Every bound needs at least two points.  range takes any metric space;
+    diam and graphs_corollary take a connected graph whose metric has no
+    universal line; onetwo_lower takes a space with all distances in {1, 2}.
     """
+    if instance.n < 2:
+        raise PreconditionUnmet(f"{bound_id} bound needs at least two points")
     if bound_id == "range":
         if not isinstance(instance, MetricSpace):
             raise BadParams("range bound takes a metric space")
-        if instance.n < 2:
-            raise PreconditionUnmet("range bound needs at least two points")
         rho = extremes(instance)[2]
         params: dict[str, Rational] = {"n": instance.n, "rho": rho}
         count = line_family(instance).count

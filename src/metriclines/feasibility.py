@@ -16,27 +16,25 @@ feasible branch supplies the witness.
 
 An automorphism of the triple system maps each branch to a branch whose
 problem is the same up to relabelling the points, so both have the same
-optimal margin.  Hence once a branch is decided infeasible, its images
-under the automorphisms found are infeasible too: the later ones go into a
-pending set, and the counter skips them when it reaches them.  A skipped
-branch is infeasible, so the first feasible branch is always decided, and
-the verdict, assignments_tried, witness and best_margin are those of a
-scan that decides every branch.  The argument holds for any set of
-automorphisms, so the search for them stops after _AUTOMORPHISM_CAP.
+optimal margin.  The scan reaches a branch only once every smaller branch
+is infeasible, so it skips a branch that some automorphism found maps to
+a smaller one: that image is infeasible, and so is the branch.  Nothing is
+remembered between branches.  A skipped branch is infeasible, so the first
+feasible branch is always decided, and the verdict, assignments_tried,
+witness and best_margin are those of a scan that decides every branch.
+The argument holds for any set of automorphisms, so the search for them
+stops after _AUTOMORPHISM_CAP; with the whole group, exactly the least
+branch of each orbit is decided.
 
-A branch that is not skipped is decided exactly.  A cheap presolve first
-looks for a cycle in the forced strict orderings (the outer pair of an
-edge must exceed both inner pairs); a cycle certifies margin 0 without
-touching the simplex.  The remaining branches are eliminated down to their
-free coordinates by fraction-free Gauss-Jordan elimination, which writes
-every pair distance as an integer combination of the free ones over one
-common denominator, and are handed to the integer-pivoting solver.
+A branch that is not skipped is decided exactly.  It is eliminated down to
+its free coordinates by fraction-free Gauss-Jordan elimination, which
+writes every pair distance as an integer combination of the free ones
+over one common denominator, and is handed to the integer-pivoting solver.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 from math import gcd, lcm
 
@@ -49,8 +47,8 @@ from .triples import TripleSystem, betweenness_triples
 # most points decided: one LP on disjoint triples took 0.4 s at n = 10,
 # 1.3 s at n = 12 and over 120 s at n = 36
 MAX_METRIZABLE_N = 10
-# automorphisms kept per system: each infeasible branch costs this many
-# images, and a larger group only skips fewer branches
+# automorphisms kept per system: each branch is compared with its image
+# under every one, and a smaller set only skips fewer branches
 _AUTOMORPHISM_CAP = 1024
 
 
@@ -87,23 +85,6 @@ def _edge_options(
             per_digit.append((i1, i2, out))
         opts.append(tuple(per_digit))
     return opts
-
-
-def _ordering_cycle(choices: list[tuple[int, int, int]]) -> bool:
-    """Does the forced 'outer > inner' relation contain a cycle?
-
-    Each chosen equality d(p,q) = d(p,m) + d(m,q) forces d(p,q) strictly
-    above both summands once all distances must stay >= the margin, so a
-    cycle proves the margin cannot be positive.
-    """
-    order: TopologicalSorter[int] = TopologicalSorter()
-    for i1, i2, out in choices:
-        order.add(out, i1, i2)
-    try:
-        order.prepare()
-    except CycleError:
-        return True
-    return False
 
 
 def _eliminate(
@@ -178,22 +159,14 @@ def _decide_branch(
     pairs: list[tuple[int, int]],
     pidx: dict[tuple[int, int], int],
     nonedge: list[tuple[int, int, int]],
-    assignment: int,
+    digits: list[int],
 ) -> tuple[Fraction, list[Fraction] | None]:
     """Optimal margin of one middle assignment, plus distances when positive."""
-    m = len(prob.edges)
-    choices = []
-    a = assignment
-    for k in range(m):
-        choices.append(opts[k][a % 3])
-        a //= 3
     zero = Fraction(0)
-    if _ordering_cycle(choices):
-        return zero, None
-
     npairs = len(pairs)
     eq_rows = []
-    for i1, i2, out in choices:
+    for per_digit, d in zip(opts, digits):
+        i1, i2, out = per_digit[d]
         row = [0] * npairs
         row[i1] += 1
         row[i2] += 1
@@ -328,30 +301,43 @@ def _automorphisms(edges: tuple[tuple[int, int, int], ...]) -> list[dict[int, in
     return found
 
 
-def _branch_maps(
+def _digit_tables(
     edges: tuple[tuple[int, int, int], ...], autos: list[dict[int, int]]
-) -> list[list[tuple[int, int, int]]]:
-    """Per automorphism, per edge, per digit: what it adds to the image branch.
+) -> list[list[tuple[int, int, tuple[int, ...]]]]:
+    """Per automorphism, how it rewrites the digits of a branch.
 
-    The image of branch sum(d_k 3^k) is sum(maps[k][d_k]): edge k goes to
-    some edge j, and its middle to the vertex at digit d' of edge j.
+    Row (j, k, tau) says that edge k goes onto edge j, so digit j of the
+    image branch is tau[d_k]; the rows run from the most significant edge.
     """
     index = {e: k for k, e in enumerate(edges)}
-    maps = []
+    tables = []
     for sigma in autos:
-        per_edge = []
-        for e in edges:
+        rows = []
+        for k, e in enumerate(edges):
             image = tuple(sorted(sigma[p] for p in e))
-            weight = 3 ** index[image]
-            per_edge.append(tuple(image.index(sigma[mid]) * weight for mid in e))
-        maps.append(per_edge)
-    return maps
+            rows.append((index[image], k, tuple(image.index(sigma[mid]) for mid in e)))
+        tables.append(sorted(rows, reverse=True))
+    return tables
+
+
+def _has_smaller_image(
+    tables: list[list[tuple[int, int, tuple[int, ...]]]], digits: list[int]
+) -> bool:
+    """Does some automorphism map the branch with these digits below itself?"""
+    for rows in tables:
+        for j, k, tau in rows:
+            d = tau[digits[k]]
+            if d != digits[j]:
+                if d < digits[j]:
+                    return True
+                break
+    return False
 
 
 def _scan(
     prob: _Problem, autos: list[dict[int, int]]
 ) -> tuple[int | None, Fraction, list[Fraction] | None, int]:
-    """Decide branches in counter order, skipping images of infeasible ones.
+    """Decide branches in counter order, skipping those with a smaller image.
 
     Returns the first feasible branch, its margin (the best margin: every
     other branch has margin 0), its distances and the number of branches
@@ -362,23 +348,21 @@ def _scan(
     opts = _edge_options(prob, pidx)
     eset = set(prob.edges)
     nonedge = [t for t in combinations(range(prob.n), 3) if t not in eset]
-    maps = _branch_maps(prob.edges, autos)
+    tables = _digit_tables(prob.edges, autos)
     m = len(prob.edges)
-    pending: set[int] = set()
+    digits = [0] * (m + 1)  # a sentinel digit ends the carry at 3**m
     decided = 0
     for a in range(3**m):
-        if a in pending:
-            pending.discard(a)
-            continue
-        decided += 1
-        margin, dists = _decide_branch(prob, opts, pairs, pidx, nonedge, a)
-        if dists is not None:
-            return a, margin, dists, decided
-        digits = [a // 3**k % 3 for k in range(m)]
-        for per_edge in maps:
-            image = sum(w[d] for w, d in zip(per_edge, digits))
-            if image > a:
-                pending.add(image)
+        if not _has_smaller_image(tables, digits):
+            decided += 1
+            margin, dists = _decide_branch(prob, opts, pairs, pidx, nonedge, digits)
+            if dists is not None:
+                return a, margin, dists, decided
+        k = 0
+        while digits[k] == 2:
+            digits[k] = 0
+            k += 1
+        digits[k] += 1
     return None, Fraction(0), None, decided
 
 
@@ -401,9 +385,9 @@ def metrizable(
     """Decide whether some metric space induces exactly these triples.
 
     Walks the per-edge middle assignments serially in base-3 counter order
-    until one admits a metric.  A branch that an automorphism of T maps
-    from a branch already decided infeasible is skipped, as it is
-    infeasible too; every other branch is decided by its exact LP.  The
+    until one admits a metric.  A branch that an automorphism of T maps to
+    a smaller branch is skipped, as that smaller branch was infeasible and
+    so is this one; every other branch is decided by its exact LP.  The
     result is that of deciding every branch in turn: assignments_tried
     counts skipped branches, and the witness comes from the first feasible
     branch and is verified by recomputing its betweenness triples.

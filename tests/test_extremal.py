@@ -176,9 +176,15 @@ class TestCheckBound:
         # distances outside {1, 2}
         with pytest.raises(PreconditionUnmet):
             check_bound(graph_metric(path_graph(3)), "onetwo_lower")
-        # a single point has no pairs
-        with pytest.raises(PreconditionUnmet):
-            check_bound(uniform_space(1, 1), "range")
+        # a single point has no pairs, and no bound holds vacuously
+        for bound_id, single in (
+            ("range", uniform_space(1, 1)),
+            ("onetwo_lower", uniform_space(1, 1)),
+            ("diam", Graph(1, (0,))),
+            ("graphs_corollary", Graph(1, (0,))),
+        ):
+            with pytest.raises(PreconditionUnmet, match=f"^{bound_id} bound needs at least"):
+                check_bound(single, bound_id)
 
     def test_instance_type_mismatch(self):
         with pytest.raises(BadParams):

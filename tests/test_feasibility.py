@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from metriclines import (
     enum_triple_systems,
     triple_system,
 )
+from metriclines import feasibility
 from metriclines.extremal import pentagon
 from metriclines.feasibility import (
     MAX_METRIZABLE_N,
@@ -211,6 +213,62 @@ class TestSymmetryReduction:
         autos = _automorphisms(edges)
         assert time.perf_counter() - t0 < 1.0
         assert 1 < len(autos) <= 1024
+
+
+def order(sigma):
+    power, r = sigma, 1
+    while any(p != q for p, q in power.items()):
+        power = {p: sigma[q] for p, q in power.items()}
+        r += 1
+    return r
+
+
+class StopScan(Exception):
+    pass
+
+
+class TestStatelessSkipping:
+    def test_non_group_sets_keep_the_result(self):
+        # {identity, sigma} is not a group when sigma has order 3 or more
+        checked = 0
+        for T in (T for n in (3, 4, 5) for T in enum_triple_systems(n)):
+            if len(T.edges) > 6:
+                continue
+            prob = _Problem(T.n, Fraction(1), T.sorted_edges())
+            autos = _automorphisms(prob.edges)
+            sigma = next((s for s in autos if order(s) >= 3), None)
+            if sigma is None:
+                continue
+            checked += 1
+            group, pair, alone = (_scan(prob, a) for a in (autos, [autos[0], sigma], autos[:1]))
+            assert pair[:3] == alone[:3]
+            assert group[3] <= pair[3] <= alone[3]
+        assert checked == 15
+
+    def test_memory_stays_bounded(self, monkeypatch):
+        # K6 on triples plus an isolated point: 20 triples, 720 automorphisms
+        T = triple_system(7, itertools.combinations(range(6), 3))
+        prob = _Problem(T.n, Fraction(1), T.sorted_edges())
+        autos = _automorphisms(prob.edges)
+        decide = feasibility._decide_branch
+        calls = 0
+
+        def capped(*args):
+            nonlocal calls
+            calls += 1
+            if calls > 300:
+                raise StopScan
+            return decide(*args)
+
+        monkeypatch.setattr(feasibility, "_decide_branch", capped)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StopScan):
+                _scan(prob, autos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
 
 def branch_rows(T):

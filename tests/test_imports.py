@@ -39,7 +39,7 @@ VERBS = (
     ("lines", ["lines", INPUTS / "rational12.txt"], LINE_VERBS_SKIP, FRACTIONS),
     ("triples", ["triples", INPUTS / "rational12.txt"], LINE_VERBS_SKIP, FRACTIONS),
     ("hyperlines", ["hyperlines", INPUTS / "triples3.txt"], LINE_VERBS_SKIP, FRACTIONS),
-    ("metrizable", ["metrizable", INPUTS / "triples3.txt"], (*SEARCHES, "graphs"), ()),
+    ("metrizable", ["metrizable", INPUTS / "triples3.txt"], (*SEARCHES, "graphs"), ("graphlib",)),
     ("check", ["check", "diam", INPUTS / "cycle7.txt"], ("enumeration", "search", "feasibility"), ()),
     ("construct", ["construct", "pentagon"], ("enumeration", "search", "feasibility"), ()),
     ("search", ["search", "hypergraphs", "4"], ("extremal", "bounds", "feasibility"), FRACTIONS),
