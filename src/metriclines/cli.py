@@ -57,8 +57,7 @@ def __getattr__(name: str):
 
 def _lib(name: str):
     """The library object name as this module holds it, imported if it does not yet."""
-    namespace = globals()
-    return namespace[name] if name in namespace else __getattr__(name)
+    return getattr(sys.modules[__name__], name)
 
 
 CHECKABLE_BOUNDS = ("range", "diam", "graphs_corollary", "onetwo_lower")

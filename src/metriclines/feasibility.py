@@ -9,10 +9,13 @@ positivity, and an upper cap that removes scale freedom.  Strictness is
 bought with a shared margin variable that gets maximized; the assignment
 is feasible exactly when the optimal margin is positive.
 
+Every triple has three rows, one per middle vertex, built once per system.
 Branches are scanned serially, in the base-3 counter order over the sorted
 edge list: edge k is digit k (edge 0 the least significant), and digit d
-puts the d-th smallest vertex of the edge in the middle.  The first
-feasible branch supplies the witness.
+picks the row of the edge's d-th smallest vertex as its equality.  All
+branches share the non-edges' strict rows, so a branch is handed to the
+LP as its equality rows alone.  The first feasible branch supplies the
+witness.
 
 An automorphism of the triple system maps each branch to a branch whose
 problem is the same up to relabelling the points, so both have the same
@@ -50,6 +53,8 @@ MAX_METRIZABLE_N = 10
 # automorphisms kept per system: each branch is compared with its image
 # under every one, and a smaller set only skips fewer branches
 _AUTOMORPHISM_CAP = 1024
+# three points a < b < c, or a row (i1, i2, i3) of pair indices
+_Triple = tuple[int, int, int]
 
 
 class FeasibilityResult(Record):
@@ -59,32 +64,19 @@ class FeasibilityResult(Record):
     best_margin: Fraction
 
 
-class _Problem(Record):
-    n: int
-    cap: Fraction
-    edges: tuple[tuple[int, int, int], ...]
+def _triangles(n: int) -> dict[_Triple, tuple[_Triple, _Triple, _Triple]]:
+    """Per triple a < b < c, its rows with middle a, b and c, in that order.
 
-
-def _pairs(n: int) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
-    ps = list(combinations(range(n), 2))
-    return ps, {p: i for i, p in enumerate(ps)}
-
-
-def _edge_options(
-    prob: _Problem, pidx: dict[tuple[int, int], int]
-) -> list[tuple[tuple[int, int, int], ...]]:
-    """Per edge, per digit: pair indices (inner1, inner2, outer) for the middle choice."""
-    opts = []
-    for a, b, c in prob.edges:
-        per_digit = []
-        for mid in (a, b, c):
-            p, q = sorted({a, b, c} - {mid})
-            i1 = pidx[tuple(sorted((p, mid)))]
-            i2 = pidx[tuple(sorted((mid, q)))]
-            out = pidx[(p, q)]
-            per_digit.append((i1, i2, out))
-        opts.append(tuple(per_digit))
-    return opts
+    A row (i1, i2, i3) of pair indices reads d_i1 + d_i2 = d_i3 on an edge
+    and d_i1 + d_i2 > d_i3 on a non-edge: with pairs ab, ac and bc, middle a
+    is (ab, ac, bc), middle b is (ab, bc, ac) and middle c is (ac, bc, ab).
+    """
+    index = {p: i for i, p in enumerate(combinations(range(n), 2))}
+    table = {}
+    for a, b, c in combinations(range(n), 3):
+        ab, ac, bc = index[a, b], index[a, c], index[b, c]
+        table[a, b, c] = ((ab, ac, bc), (ab, bc, ac), (ac, bc, ab))
+    return table
 
 
 def _eliminate(
@@ -154,23 +146,19 @@ def _eliminate(
 
 
 def _decide_branch(
-    prob: _Problem,
-    opts: list[tuple[tuple[int, int, int], ...]],
-    pairs: list[tuple[int, int]],
-    pidx: dict[tuple[int, int], int],
-    nonedge: list[tuple[int, int, int]],
-    digits: list[int],
-) -> tuple[Fraction, list[Fraction] | None]:
-    """Optimal margin of one middle assignment, plus distances when positive."""
-    zero = Fraction(0)
-    npairs = len(pairs)
+    npairs: int, cap: Fraction, triangles: list[_Triple], equalities: list[_Triple]
+) -> tuple[Fraction, list[Fraction]] | None:
+    """Optimal margin and distances of one branch; None when the margin is not positive.
+
+    equalities holds the branch's rows d_i1 + d_i2 = d_i3, one per edge it
+    fixes, and triangles the strict rows d_i1 + d_i2 > d_i3 of every
+    non-edge triple; both index the pairs of combinations(range(n), 2).
+    """
     eq_rows = []
-    for per_digit, d in zip(opts, digits):
-        i1, i2, out = per_digit[d]
+    for i1, i2, i3 in equalities:
         row = [0] * npairs
-        row[i1] += 1
-        row[i2] += 1
-        row[out] -= 1
+        row[i1] = row[i2] = 1
+        row[i3] = -1
         eq_rows.append(row)
     free, exprs, scale = _eliminate(npairs, eq_rows)
     k = len(free)
@@ -202,20 +190,13 @@ def _decide_branch(
 
     for p in range(npairs):
         if not margin_row(exprs[p], sums[p]):
-            return zero, None
-    for a3, b3, c3 in nonedge:
-        lo = pidx[(a3, b3)]
-        hi = pidx[(b3, c3)]
-        far = pidx[(a3, c3)]
-        for i1, i2, i3 in ((lo, hi, far), (lo, far, hi), (far, hi, lo)):
-            e1, e2, e3 = exprs[i1], exprs[i2], exprs[i3]
-            expr = [x + y - w for x, y, w in zip(e1, e2, e3)]
-            if not margin_row(expr, sums[i1] + sums[i2] - sums[i3]):
-                return zero, None
-    cp, cq = prob.cap.numerator, prob.cap.denominator
-    for p in range(npairs):
-        expr = exprs[p]
-        s = sums[p]
+            return None
+    for i1, i2, i3 in triangles:
+        expr = [x + y - w for x, y, w in zip(exprs[i1], exprs[i2], exprs[i3])]
+        if not margin_row(expr, sums[i1] + sums[i2] - sums[i3]):
+            return None
+    cp, cq = cap.numerator, cap.denominator
+    for expr, s in zip(exprs, sums):
         if s <= 0 and not any(v > 0 for v in expr):
             continue  # cannot exceed the cap
         add([cq * v for v in expr] + [cq * s], cp * scale)
@@ -223,20 +204,16 @@ def _decide_branch(
     objective = [0] * k + [1]
     sol = maximize_scaled(objective, M, b)
     if sol.value <= 0:
-        return sol.value, None
+        return None
     eps = sol.value
-    zfree = sol.x[:k]
     dists = [
-        Fraction(
-            sum(c * zfree[j] for j, c in enumerate(exprs[p]) if c) + sums[p] * eps,
-            scale,
-        )
-        for p in range(npairs)
+        Fraction(sum(c * z for c, z in zip(expr, sol.x) if c) + s * eps, scale)
+        for expr, s in zip(exprs, sums)
     ]
-    return sol.value, dists
+    return eps, dists
 
 
-def _automorphisms(edges: tuple[tuple[int, int, int], ...]) -> list[dict[int, int]]:
+def _automorphisms(edges: tuple[_Triple, ...]) -> list[dict[int, int]]:
     """Up to _AUTOMORPHISM_CAP automorphisms of the edge set, the identity first.
 
     Each maps the points that lie on some edge; the others move no branch.
@@ -302,7 +279,7 @@ def _automorphisms(edges: tuple[tuple[int, int, int], ...]) -> list[dict[int, in
 
 
 def _digit_tables(
-    edges: tuple[tuple[int, int, int], ...], autos: list[dict[int, int]]
+    edges: tuple[_Triple, ...], autos: list[dict[int, int]]
 ) -> list[list[tuple[int, int, tuple[int, ...]]]]:
     """Per automorphism, how it rewrites the digits of a branch.
 
@@ -335,29 +312,33 @@ def _has_smaller_image(
 
 
 def _scan(
-    prob: _Problem, autos: list[dict[int, int]]
+    n: int, edges: tuple[_Triple, ...], cap: Fraction, autos: list[dict[int, int]]
 ) -> tuple[int | None, Fraction, list[Fraction] | None, int]:
     """Decide branches in counter order, skipping those with a smaller image.
 
+    Builds the rows once, and hands each decided branch the strict rows of
+    the non-edges (middle b, then a, then c) and its own equality rows.
     Returns the first feasible branch, its margin (the best margin: every
     other branch has margin 0), its distances and the number of branches
     decided; with no feasible branch, None, 0 and None.  With autos holding
     only the identity, every branch up to the first feasible one is decided.
     """
-    pairs, pidx = _pairs(prob.n)
-    opts = _edge_options(prob, pidx)
-    eset = set(prob.edges)
-    nonedge = [t for t in combinations(range(prob.n), 3) if t not in eset]
-    tables = _digit_tables(prob.edges, autos)
-    m = len(prob.edges)
+    table = _triangles(n)
+    eset = set(edges)
+    triangles = [r for t, (ma, mb, mc) in table.items() if t not in eset for r in (mb, ma, mc)]
+    options = [table[e] for e in edges]
+    npairs = n * (n - 1) // 2
+    tables = _digit_tables(edges, autos)
+    m = len(edges)
     digits = [0] * (m + 1)  # a sentinel digit ends the carry at 3**m
     decided = 0
     for a in range(3**m):
         if not _has_smaller_image(tables, digits):
             decided += 1
-            margin, dists = _decide_branch(prob, opts, pairs, pidx, nonedge, digits)
-            if dists is not None:
-                return a, margin, dists, decided
+            equalities = [rows[d] for rows, d in zip(options, digits)]
+            found = _decide_branch(npairs, cap, triangles, equalities)
+            if found is not None:
+                return a, *found, decided
         k = 0
         while digits[k] == 2:
             digits[k] = 0
@@ -366,13 +347,12 @@ def _scan(
     return None, Fraction(0), None, decided
 
 
-def _witness_from(prob: _Problem, dists: list[Fraction]) -> MetricSpace:
-    pairs, _ = _pairs(prob.n)
-    table = [[Fraction(0)] * prob.n for _ in range(prob.n)]
-    for (i, j), d in zip(pairs, dists):
+def _witness_from(n: int, edges: tuple[_Triple, ...], dists: list[Fraction]) -> MetricSpace:
+    table = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), d in zip(combinations(range(n), 2), dists):
         table[i][j] = table[j][i] = d
     space = validate_metric(table)
-    if betweenness_triples(space).edges != frozenset(prob.edges):
+    if betweenness_triples(space).edges != frozenset(edges):
         raise SolverFailure("witness failed the betweenness round trip")
     return space
 
@@ -406,8 +386,7 @@ def metrizable(
         raise TooManyAssignments(len(edges), max_edges)
     if T.n > MAX_METRIZABLE_N:
         raise SizeCap(f"metrizable is capped at n <= {MAX_METRIZABLE_N}, got {T.n}")
-    prob = _Problem(T.n, cap, edges)
-    first, best, dists, _ = _scan(prob, _automorphisms(edges))
+    first, best, dists, _ = _scan(T.n, edges, cap, _automorphisms(edges))
     if first is None:
         return FeasibilityResult(False, None, 3 ** len(edges), best)
-    return FeasibilityResult(True, _witness_from(prob, dists), first + 1, best)
+    return FeasibilityResult(True, _witness_from(T.n, edges, dists), first + 1, best)

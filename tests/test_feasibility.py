@@ -27,11 +27,9 @@ from metriclines.extremal import pentagon
 from metriclines.feasibility import (
     MAX_METRIZABLE_N,
     _automorphisms,
-    _edge_options,
     _eliminate,
-    _pairs,
-    _Problem,
     _scan,
+    _triangles,
 )
 
 import helpers
@@ -148,9 +146,9 @@ class TestSizeCap:
 
 def scans(T):
     """The reduced scan and the scan that decides every branch, on T."""
-    prob = _Problem(T.n, Fraction(1), T.sorted_edges())
-    autos = _automorphisms(prob.edges)
-    return _scan(prob, autos), _scan(prob, autos[:1])
+    edges = T.sorted_edges()
+    autos = _automorphisms(edges)
+    return _scan(T.n, edges, Fraction(1), autos), _scan(T.n, edges, Fraction(1), autos[:1])
 
 
 @pytest.fixture(scope="module")
@@ -234,13 +232,15 @@ class TestStatelessSkipping:
         for T in (T for n in (3, 4, 5) for T in enum_triple_systems(n)):
             if len(T.edges) > 6:
                 continue
-            prob = _Problem(T.n, Fraction(1), T.sorted_edges())
-            autos = _automorphisms(prob.edges)
+            edges = T.sorted_edges()
+            autos = _automorphisms(edges)
             sigma = next((s for s in autos if order(s) >= 3), None)
             if sigma is None:
                 continue
             checked += 1
-            group, pair, alone = (_scan(prob, a) for a in (autos, [autos[0], sigma], autos[:1]))
+            group, pair, alone = (
+                _scan(T.n, edges, Fraction(1), a) for a in (autos, [autos[0], sigma], autos[:1])
+            )
             assert pair[:3] == alone[:3]
             assert group[3] <= pair[3] <= alone[3]
         assert checked == 15
@@ -248,8 +248,8 @@ class TestStatelessSkipping:
     def test_memory_stays_bounded(self, monkeypatch):
         # K6 on triples plus an isolated point: 20 triples, 720 automorphisms
         T = triple_system(7, itertools.combinations(range(6), 3))
-        prob = _Problem(T.n, Fraction(1), T.sorted_edges())
-        autos = _automorphisms(prob.edges)
+        edges = T.sorted_edges()
+        autos = _automorphisms(edges)
         decide = feasibility._decide_branch
         calls = 0
 
@@ -264,26 +264,71 @@ class TestStatelessSkipping:
         tracemalloc.start()
         try:
             with pytest.raises(StopScan):
-                _scan(prob, autos)
+                _scan(T.n, edges, Fraction(1), autos)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 5_000_000
 
 
+def middle(pairs, row):
+    """The point a row puts between the other two, checking its shape."""
+    (mid,) = set(pairs[row[0]]) & set(pairs[row[1]])
+    outer = tuple(sorted({*pairs[row[0]], *pairs[row[1]]} - {mid}))
+    assert pairs[row[2]] == outer
+    return mid
+
+
+class TestTriangleRows:
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_rows_sum_the_pairs_at_the_middle(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        table = _triangles(n)
+        assert list(table) == list(itertools.combinations(range(n), 3))
+        for t, rows in table.items():
+            # digit d of an edge puts its d-th smallest point in the middle
+            assert [middle(pairs, row) for row in rows] == list(t)
+        assert _triangles(3)[0, 1, 2] == ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+
+    def test_scan_hands_each_branch_its_rows(self, monkeypatch):
+        T = triple_system(5, [(0, 1, 2), (0, 3, 4), (1, 2, 3)])
+        edges = T.sorted_edges()
+        pairs = list(itertools.combinations(range(5), 2))
+        calls = []
+
+        def record(npairs, cap, triangles, equalities):
+            calls.append((npairs, cap, triangles, equalities))
+            return None
+
+        monkeypatch.setattr(feasibility, "_decide_branch", record)
+        assert _scan(5, edges, Fraction(3), _automorphisms(edges)[:1])[0] is None
+        assert len(calls) == 27
+        nonedges = [t for t in itertools.combinations(range(5), 3) if t not in T.edges]
+        for a, (npairs, cap, triangles, equalities) in enumerate(calls):
+            assert (npairs, cap) == (10, 3)
+            # every non-edge gives its rows with middle b, then a, then c
+            assert [middle(pairs, r) for r in triangles] == [
+                t[i] for t in nonedges for i in (1, 0, 2)
+            ]
+            digits = [a // 3**k % 3 for k in range(len(edges))]
+            assert [middle(pairs, r) for r in equalities] == [
+                e[d] for e, d in zip(edges, digits)
+            ]
+
+
 def branch_rows(T):
     """The equality rows of every middle assignment on T."""
-    pairs, pidx = _pairs(T.n)
-    opts = _edge_options(_Problem(T.n, Fraction(1), T.sorted_edges()), pidx)
-    for choice in itertools.product(*opts):
+    npairs = T.n * (T.n - 1) // 2
+    table = _triangles(T.n)
+    for choice in itertools.product(*(table[e] for e in T.sorted_edges())):
         rows = []
         for i1, i2, out in choice:
-            row = [0] * len(pairs)
+            row = [0] * npairs
             row[i1] += 1
             row[i2] += 1
             row[out] -= 1
             rows.append(row)
-        yield len(pairs), rows
+        yield npairs, rows
 
 
 def seeded_six_point_systems(count):
