@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Every verb is a thin adapter over the library: load input, call one
-function, serialize the result.  Output is TSV by default (metadata lines
-start with '#') or a single canonical JSON document under --format json.
+function, and render the record it returns.  The library's records are
+plain values; this module alone knows the output format and reads the
+clock.  Each verb builds one document from its record and prints it as TSV
+by default (metadata lines start with '#') or as a single canonical JSON
+document under --format json.  Under --timing, search and scan add
+elapsed_ms, the wall time of the library call as measured here.
 
 Exit codes: 0 success or bound pass, 1 bound fail or violator found,
 2 usage error, 3 input error.
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .errors import (
     BadParams,
@@ -35,6 +40,7 @@ from .fileio import (
     UNIVERSES,
     dump_graph,
     dump_metric,
+    dump_triples,
     format_rational,
     load_graph_text,
     load_metric_text,
@@ -91,49 +97,66 @@ def _print(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _family_output(fam, fmt: str) -> str:
-    universal = fam.has_universal()
-    if fmt == "json":
-        return _canonical_json(
-            {
-                "count": fam.count,
-                "universal": universal,
-                "lines": [list(pts) for pts in fam.lines],
-            }
-        )
-    rows = [
-        f"# count\t{fam.count}",
-        f"# universal\t{'true' if universal else 'false'}",
-        "index\tpoints",
-    ]
-    rows.extend(f"{i}\t{_points_str(pts)}" for i, pts in enumerate(fam.lines))
-    return "\n".join(rows)
+def _field(value) -> str:
+    return ("true" if value else "false") if isinstance(value, bool) else str(value)
+
+
+def _emit(args, doc: dict, tsv) -> None:
+    """Print a verb's document: canonical JSON, or the TSV rows tsv(doc) gives."""
+    _print(_canonical_json(doc) if args.format == "json" else "\n".join(tsv(doc)))
+
+
+def _timed(args, name: str, *params):
+    """The library call name(*params), and {"elapsed_ms": its wall time} under --timing."""
+    if not args.timing:
+        return _lib(name)(*params), {}
+    start = time.monotonic()
+    report = _lib(name)(*params)
+    return report, {"elapsed_ms": int((time.monotonic() - start) * 1000)}
+
+
+def _family_doc(fam) -> dict:
+    # json writes a tuple as an array, so the lines go in as they are
+    return {"count": fam.count, "universal": fam.has_universal(), "lines": fam.lines}
+
+
+def _family_tsv(doc: dict) -> list[str]:
+    rows = [f"# count\t{doc['count']}", f"# universal\t{_field(doc['universal'])}", "index\tpoints"]
+    rows.extend(f"{i}\t{_points_str(pts)}" for i, pts in enumerate(doc["lines"]))
+    return rows
 
 
 def _cmd_lines(args) -> int:
     space = load_metric_text(_read_text(args.file), source=args.file)
-    _print(_family_output(_lib("line_family")(space), args.format))
+    _emit(args, _family_doc(_lib("line_family")(space)), _family_tsv)
     return 0
 
 
 def _cmd_hyperlines(args) -> int:
     system = load_triples_text(_read_text(args.file), source=args.file)
-    _print(_family_output(_lib("hyper_line_family")(system), args.format))
+    _emit(args, _family_doc(_lib("hyper_line_family")(system)), _family_tsv)
     return 0
+
+
+def _triples_tsv(doc: dict) -> list[str]:
+    rows = [f"# n\t{doc['n']}", f"# count\t{doc['count']}", "index\ttriple"]
+    rows.extend(f"{i}\t{_points_str(e)}" for i, e in enumerate(doc["triples"]))
+    return rows
 
 
 def _cmd_triples(args) -> int:
     space = load_metric_text(_read_text(args.file), source=args.file)
     system = _lib("betweenness_triples")(space)
     edges = system.sorted_edges()
-    if args.format == "json":
-        # json writes a tuple as an array, so the triples go in as they are
-        _print(_canonical_json({"n": system.n, "count": len(edges), "triples": edges}))
-    else:
-        rows = [f"# n\t{system.n}", f"# count\t{len(edges)}", "index\ttriple"]
-        rows.extend(f"{i}\t{_points_str(e)}" for i, e in enumerate(edges))
-        _print("\n".join(rows))
+    _emit(args, {"n": system.n, "count": len(edges), "triples": edges}, _triples_tsv)
     return 0
+
+
+def _check_tsv(doc: dict) -> list[str]:
+    rows = ["field\tvalue"]
+    rows.extend(f"{key}\t{_field(value)}" for key, value in doc.items() if key != "params")
+    rows.extend(f"param:{key}\t{value}" for key, value in doc["params"].items())
+    return rows
 
 
 def _cmd_check(args) -> int:
@@ -143,19 +166,15 @@ def _cmd_check(args) -> int:
     else:
         instance = load_graph_text(text, source=args.file)
     report = _lib("check_bound")(instance, args.bound_id)
-    doc = report.to_json_dict()
-    if args.format == "json":
-        _print(_canonical_json(doc))
-    else:
-        rows = ["field\tvalue"]
-        for key in ("bound_id", "lines_found", "bound_lo", "bound_hi", "pass"):
-            value = doc[key]
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            rows.append(f"{key}\t{value}")
-        for key, value in doc["params"].items():
-            rows.append(f"param:{key}\t{value}")
-        _print("\n".join(rows))
+    doc = {
+        "bound_id": report.bound_id,
+        "lines_found": report.lines_found,
+        "bound_lo": format_rational(report.bound_lo),
+        "bound_hi": format_rational(report.bound_hi),
+        "pass": report.passed,
+        "params": {k: format_rational(v) for k, v in report.params.items()},
+    }
+    _emit(args, doc, _check_tsv)
     return 0 if report.passed else 1
 
 
@@ -170,55 +189,63 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _search_tsv(doc: dict) -> str:
-    rows = []
-    for key in (
-        "universe",
-        "n",
-        "exclude_universal",
-        "minimum",
-        "instances_examined",
-    ):
-        value = doc[key]
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        rows.append(f"{key}\t{value}")
-    if "elapsed_ms" in doc:
-        rows.append(f"elapsed_ms\t{doc['elapsed_ms']}")
+def _search_tsv(doc: dict) -> list[str]:
+    rows = [f"{key}\t{_field(value)}" for key, value in doc.items() if key != "witness"]
     rows.append("witness\t" + ";".join(doc["witness"].splitlines()))
-    return "\n".join(rows)
+    return rows
 
 
 def _cmd_search(args) -> int:
-    report = _lib("min_lines")(args.universe, args.n, args.exclude_universal)
-    doc = report.to_json_dict(include_timing=args.timing)
-    if args.format == "json":
-        _print(_canonical_json(doc))
-    else:
-        _print(_search_tsv(doc))
+    report, timing = _timed(args, "min_lines", args.universe, args.n, args.exclude_universal)
+    dump = dump_triples if report.universe == "hypergraphs" else dump_graph
+    # the TSV rows follow the order of the keys
+    doc = {
+        "universe": report.universe,
+        "n": report.n,
+        "exclude_universal": report.exclude_universal,
+        "minimum": report.minimum,
+        "instances_examined": report.instances_examined,
+        **timing,
+        "witness": dump(report.witness),
+    }
+    _emit(args, doc, _search_tsv)
     return 0
+
+
+def _scan_tsv(doc: dict) -> list[str]:
+    rows = [f"n_max\t{doc['n_max']}", f"violators\t{len(doc['violators'])}"]
+    rows.extend(f"minimum:{n}\t{count}" for n, count in doc["minima"].items())
+    rows.extend(f"{key}\t{doc[key]}" for key in ("instances_examined", "elapsed_ms") if key in doc)
+    return rows
 
 
 def _cmd_scan(args) -> int:
-    report = _lib("conjecture_scan")(args.n_max)
-    doc = report.to_json_dict(include_timing=args.timing)
-    if args.format == "json":
-        _print(_canonical_json(doc))
-    else:
-        rows = [f"n_max\t{report.n_max}", f"violators\t{len(report.violators)}"]
-        for n in sorted(report.minima):
-            rows.append(f"minimum:{n}\t{report.minima[n]}")
-        rows.append(f"instances_examined\t{report.instances_examined}")
-        if "elapsed_ms" in doc:
-            rows.append(f"elapsed_ms\t{doc['elapsed_ms']}")
-        _print("\n".join(rows))
-    if report.violators:
-        for i, g in enumerate(report.violators):
-            path = f"{args.out_dir}/violator_n{g.n}_{i}.txt"
-            _write_text(path, dump_graph(g))
-            sys.stderr.write(f"violator written to {path}\n")
-        return 1
-    return 0
+    report, timing = _timed(args, "conjecture_scan", args.n_max)
+    violators = [dump_graph(g) for g in report.violators]
+    doc = {
+        "n_max": report.n_max,
+        "violators": violators,
+        "minima": {str(n): report.minima[n] for n in sorted(report.minima)},
+        "instances_examined": report.instances_examined,
+        **timing,
+    }
+    _emit(args, doc, _scan_tsv)
+    for i, (g, text) in enumerate(zip(report.violators, violators)):
+        path = f"{args.out_dir}/violator_n{g.n}_{i}.txt"
+        _write_text(path, text)
+        sys.stderr.write(f"violator written to {path}\n")
+    return 1 if violators else 0
+
+
+def _metrizable_tsv(doc: dict) -> list[str]:
+    rows = [
+        "metrizable" if doc["metrizable"] else "infeasible",
+        f"# assignments_tried\t{doc['assignments_tried']}",
+        f"# best_margin\t{doc['best_margin']}",
+    ]
+    if doc["witness"] is not None:
+        rows.append(doc["witness"].rstrip("\n"))
+    return rows
 
 
 def _cmd_metrizable(args) -> int:
@@ -228,27 +255,13 @@ def _cmd_metrizable(args) -> int:
         normalization_cap=parse_rational(args.cap),
         max_edges=args.max_edges,
     )
-    witness_text = dump_metric(result.witness) if result.witness else None
-    if args.format == "json":
-        _print(
-            _canonical_json(
-                {
-                    "metrizable": result.metrizable,
-                    "assignments_tried": result.assignments_tried,
-                    "best_margin": format_rational(result.best_margin),
-                    "witness": witness_text,
-                }
-            )
-        )
-    else:
-        rows = [
-            "metrizable" if result.metrizable else "infeasible",
-            f"# assignments_tried\t{result.assignments_tried}",
-            f"# best_margin\t{format_rational(result.best_margin)}",
-        ]
-        if witness_text is not None:
-            rows.append(witness_text.rstrip("\n"))
-        _print("\n".join(rows))
+    doc = {
+        "metrizable": result.metrizable,
+        "assignments_tried": result.assignments_tried,
+        "best_margin": format_rational(result.best_margin),
+        "witness": dump_metric(result.witness) if result.witness else None,
+    }
+    _emit(args, doc, _metrizable_tsv)
     return 0
 
 
@@ -266,7 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--timing",
         action="store_true",
-        help="include elapsed_ms in search/scan reports (breaks byte determinism)",
+        help="add elapsed_ms, the wall time the CLI measures around the search, "
+        "to search/scan output (breaks byte determinism)",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 

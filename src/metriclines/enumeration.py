@@ -13,11 +13,13 @@ points is a class on n-1 points plus one column, and extending each class
 by every column, keeping the children whose tuple is minimal, yields every
 class exactly once; with sorted parents and increasing columns, in order.
 
-One generator serves both structures.  Each gives three callbacks: extend
-builds a child's adjacency rows or links from its parent's and the new
-column, grow turns the columns of the unplaced vertices into their columns
-after one more vertex is placed, and interchangeable tells the vertex
-pairs whose transposition is an automorphism.  The minimality search
+One generator serves both structures.  Each gives two callbacks and may
+give a third: extend builds a child's adjacency rows or links from its
+parent's and the new column, grow turns the columns of the unplaced
+vertices into their columns after one more vertex is placed, and, for
+graphs only, interchangeable tells the vertex pairs whose transposition is
+an automorphism.  Skipping such twins pays on graphs; on triple systems the
+test costs more than it saves, so they give none.  The minimality search
 carries every unplaced vertex's column down the tree and grows it by one
 slot per level, so no column is read out from scratch.  A table lookup on
 the new column rejects many children before any search.
@@ -45,13 +47,14 @@ def _min_placement(n: int, grow, interchangeable, target=()) -> tuple[int, ...] 
     them; grow(free, cols, u, placed) gives the free vertices' columns once
     u takes the next slot.  Only the vertices with the level's smallest
     column are tried, and of those that interchangeable(u, v) pairs up,
-    only the first.  The path from the root reads out a prefix that either
-    ties the best tuple so far, when only the level's own entry needs
-    comparing, or is below it, which happens only on the way to the first
-    leaf below a node; a branch is cut at the first level that reads out
-    more than the best tuple.  Given a target, the search starts from it,
-    compares each level's minimum with target[level] alone, and returns
-    None at the first level where some placement reads out less.
+    only the first; with interchangeable None, all of them.  The path from
+    the root reads out a prefix that either ties the best tuple so far, when
+    only the level's own entry needs comparing, or is below it, which
+    happens only on the way to the first leaf below a node; a branch is cut
+    at the first level that reads out more than the best tuple.  Given a
+    target, the search starts from it, compares each level's minimum with
+    target[level] alone, and returns None at the first level where some
+    placement reads out less.
     """
     twins: dict[int, int] = {}  # per vertex, a bit per vertex interchangeable with it
     best = list(target)
@@ -75,7 +78,7 @@ def _min_placement(n: int, grow, interchangeable, target=()) -> tuple[int, ...] 
         for i, v in enumerate(free):
             if cols[i] != low:
                 continue
-            if reps:
+            if reps and interchangeable:
                 if v not in twins:
                     twins[v] = sum(1 << u for u in range(n) if u != v and interchangeable(u, v))
                 if twins[v] & reps:
@@ -98,11 +101,11 @@ def _classes(n: int, lead: int, extend, rules_of) -> tuple[tuple[int, ...], ...]
     The column of slot k has one bit per lead-subset of the earlier slots,
     so the first lead levels are empty.  extend(state, col) adds a point
     with column col to a structure's state (its adjacency rows or links),
-    and rules_of(state) gives its grow and interchangeable callbacks.  The
-    placement that keeps the parent's first n-2 slots and puts the new
-    point in slot n-2 reads out the parent's columns up to there; a child
-    whose new point then reads out less than the parent's last column is
-    not minimal, and is rejected before the search.
+    and rules_of(state) gives its grow and interchangeable callbacks (the
+    latter may be None).  The placement that keeps the parent's first n-2
+    slots and puts the new point in slot n-2 reads out the parent's columns
+    up to there; a child whose new point then reads out less than the
+    parent's last column is not minimal, and is rejected before the search.
     """
     if n <= lead:
         return ((),)
@@ -252,15 +255,7 @@ def _triple_rules(link: list[list[int]]):
             grown.append(c)
         return grown
 
-    def interchangeable(u: int, v: int) -> bool:
-        # edges holding both u and v are fixed by the swap
-        mu, mv = ~(1 << v), ~(1 << u)
-        lu = [row & mu for row in link[u]]
-        lv = [row & mv for row in link[v]]
-        lu[v] = lv[u] = 0
-        return lu == lv
-
-    return grow, interchangeable
+    return grow, None
 
 
 def canonical_triples_cols(n: int, edges: frozenset[tuple[int, int, int]]) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from typing import Mapping, Union
 
 from .bounds import Rational, power_bound
 from .errors import BadParams, PreconditionUnmet, Record, TooFewPoints, XInsideT, check_points
-from .fileio import CONSTRUCT_KINDS, format_rational
+from .fileio import CONSTRUCT_KINDS
 from .graphs import Graph, graph_dist_rows, graph_from_edges, is_connected
 from .metric import (
     MetricSpace,
@@ -23,7 +23,6 @@ from .metric import (
     line_family,
     line_of,
     uniform_space,
-    validate_metric,
 )
 from .triples import TripleSystem, hyper_line
 
@@ -38,16 +37,6 @@ class BoundReport(Record):
     bound_hi: Fraction
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "params": {k: format_rational(Fraction(v)) for k, v in self.params.items()},
-            "lines_found": self.lines_found,
-            "bound_lo": format_rational(self.bound_lo),
-            "bound_hi": format_rational(self.bound_hi),
-            "pass": self.passed,
-        }
-
 
 def pentagon() -> MetricSpace:
     """The 5-point space whose lines nest strictly.
@@ -55,11 +44,11 @@ def pentagon() -> MetricSpace:
     Points 0..4 sit on a cycle; consecutive points are at distance 1 and
     the remaining pairs at distance 2.
     """
-    rows = [
-        [2 if abs(i - j) % 5 in (2, 3) else (0 if i == j else 1) for j in range(5)]
+    rows = tuple(
+        tuple(2 if abs(i - j) % 5 in (2, 3) else (0 if i == j else 1) for j in range(5))
         for i in range(5)
-    ]
-    return validate_metric(rows)
+    )
+    return MetricSpace(5, rows)
 
 
 def group_space(k: int, m: int) -> MetricSpace:
@@ -95,15 +84,17 @@ def balanced_group_space(n: int) -> MetricSpace:
 
 
 def _space_from_group_sizes(sizes: list[int]) -> MetricSpace:
+    """The 1-2 space of the groups, built directly: a symmetric table with a
+    zero diagonal and every other entry 1 or 2 is always a metric."""
     group_of = []
     for g, size in enumerate(sizes):
         group_of.extend([g] * size)
     n = len(group_of)
-    rows = [
-        [0 if i == j else (2 if group_of[i] == group_of[j] else 1) for j in range(n)]
+    rows = tuple(
+        tuple(0 if i == j else (2 if group_of[i] == group_of[j] else 1) for j in range(n))
         for i in range(n)
-    ]
-    return validate_metric(rows)
+    )
+    return MetricSpace(n, rows)
 
 
 def path_graph(t: int) -> Graph:

@@ -61,7 +61,8 @@ _RATIONAL = r"^[+-]?\d+(?:/\d+)?$"
 _INT = r"[+-]?\d+"
 
 
-def format_rational(q: Fraction) -> str:
+def format_rational(q: int | Fraction) -> str:
+    # ints and Fractions alike have numerator and denominator
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

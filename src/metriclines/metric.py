@@ -121,6 +121,8 @@ def validate_metric(rows: Sequence[Sequence[Fraction | int | str]], scale: int =
     inequalities over pairs i < j (lexicographic) with the intermediate
     point k ascending.
     """
+    if scale < 1:
+        raise BadParams(f"scale must be a positive integer, got {scale}")
     n = len(rows)
     if n < 1:
         raise TooFewPoints(n, 1)

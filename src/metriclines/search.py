@@ -4,17 +4,17 @@ Three universes are supported: 3-uniform hypergraphs with their hyperlines,
 1-2 spaces reached from arbitrary graphs (edge = distance 1), and
 shortest-path metrics of connected graphs.  Enumeration is isomorph-free, so
 a search touches each class exactly once and the reported witness is the
-first optimum in canonical order.
+first optimum in canonical order.  The reports are plain values: the same
+search gives an equal report, and the CLI renders and times them.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Iterator, Mapping, Union
 
 from .enumeration import MAX_GRAPH_N, MAX_TRIPLES_N, enum_graphs, enum_triple_systems
 from .errors import BadParams, EmptyUniverse, Record, SizeCap
-from .fileio import UNIVERSES, dump_graph, dump_triples
+from .fileio import UNIVERSES
 from .graphs import Graph, graph_dist_rows, onetwo_line_masks
 from .metric import int_metric_line_masks
 from .triples import TripleSystem, triple_line_masks
@@ -54,25 +54,6 @@ class SearchReport(Record):
     minimum: int
     witness: Union[TripleSystem, Graph]
     instances_examined: int
-    elapsed: float
-
-    def witness_text(self) -> str:
-        if isinstance(self.witness, TripleSystem):
-            return dump_triples(self.witness)
-        return dump_graph(self.witness)
-
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "universe": self.universe,
-            "n": self.n,
-            "exclude_universal": self.exclude_universal,
-            "minimum": self.minimum,
-            "witness": self.witness_text(),
-            "instances_examined": self.instances_examined,
-        }
-        if include_timing:
-            out["elapsed_ms"] = int(self.elapsed * 1000)
-        return out
 
 
 class ScanReport(Record):
@@ -80,18 +61,6 @@ class ScanReport(Record):
     violators: tuple[Graph, ...]
     minima: Mapping[int, int]
     instances_examined: int
-    elapsed: float
-
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "n_max": self.n_max,
-            "violators": [dump_graph(g) for g in self.violators],
-            "minima": {str(n): self.minima[n] for n in sorted(self.minima)},
-            "instances_examined": self.instances_examined,
-        }
-        if include_timing:
-            out["elapsed_ms"] = int(self.elapsed * 1000)
-        return out
 
 
 def _line_counts(universe: str, n: int, exclude_universal: bool) -> Iterator[tuple]:
@@ -122,7 +91,6 @@ def min_lines(
     if n < 2:
         raise BadParams("a line needs two points, so n >= 2 is required")
 
-    start = time.monotonic()
     best: int | None = None
     witness = None
     examined = 0
@@ -142,7 +110,6 @@ def min_lines(
         minimum=best,
         witness=witness,
         instances_examined=examined,
-        elapsed=time.monotonic() - start,
     )
 
 
@@ -157,7 +124,6 @@ def conjecture_scan(n_max: int) -> ScanReport:
         raise SizeCap(f"scan is capped at n <= {MAX_GRAPH_N}, got {n_max}")
     if n_max < 1:
         raise BadParams(f"scan needs a positive size, got {n_max}")
-    start = time.monotonic()
     violators = []
     minima: dict[int, int] = {}
     examined = 0
@@ -174,5 +140,4 @@ def conjecture_scan(n_max: int) -> ScanReport:
         violators=tuple(violators),
         minima=minima,
         instances_examined=examined,
-        elapsed=time.monotonic() - start,
     )

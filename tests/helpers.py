@@ -7,12 +7,14 @@ faster one replaced: the per-point line loop that the packed-row kernel
 replaced, the rational elimination of the metrizability LP, the per-line
 file loaders that the bulk parsers replaced, and the generate-and-dedup
 enumerator at the end, which canonicalizes through the package's full
-placement search.
+placement search.  cli_json reads the document a CLI call prints, for
+the tests of what the CLI alone renders.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -31,12 +33,19 @@ from metriclines import (
     graph_from_edges,
     validate_metric,
 )
+from metriclines.cli import main
 from metriclines.enumeration import (
     canonical_graph_cols,
     canonical_triples_cols,
     graph_from_cols,
     triples_from_cols,
 )
+
+
+def cli_json(capsys, *argv) -> dict:
+    """The JSON document that the CLI call main(["--format", "json", *argv]) prints."""
+    main(["--format", "json", *map(str, argv)])
+    return json.loads(capsys.readouterr().out)
 
 
 def oracle_line(dist, u: int, v: int) -> frozenset[int]:

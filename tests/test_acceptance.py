@@ -322,11 +322,11 @@ def test_criterion_12_calculus_grid():
     report(12, elapsed, "inequality holds on the full 98 x 101 grid")
 
 
-def _criterion_5_json() -> str:
+def _criterion_5_json(capsys) -> str:
     return canonical_json(
         {
-            "f3": min_lines("hypergraphs", 3).to_json_dict(),
-            "h3": min_lines("one_two", 3).to_json_dict(),
+            "f3": helpers.cli_json(capsys, "search", "hypergraphs", "3"),
+            "h3": helpers.cli_json(capsys, "search", "one_two", "3"),
         }
     )
 
@@ -348,18 +348,18 @@ def _criterion_6_json() -> str:
     return canonical_json(rows)
 
 
-def _criterion_11_json() -> str:
-    return canonical_json(conjecture_scan(8).to_json_dict())
+def _criterion_11_json(capsys) -> str:
+    return canonical_json(helpers.cli_json(capsys, "scan", "8"))
 
 
-def test_criterion_13_reports_deterministic():
+def test_criterion_13_reports_deterministic(capsys):
     t0 = time.monotonic()
     runs = [
-        (_criterion_5_json(), _criterion_6_json(), _criterion_11_json())
+        (_criterion_5_json(capsys), _criterion_6_json(), _criterion_11_json(capsys))
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
     # and a third run of criterion 5 is byte-identical too
-    assert runs[0][0] == _criterion_5_json()
+    assert runs[0][0] == _criterion_5_json(capsys)
     elapsed = time.monotonic() - t0
     report(13, elapsed, "criteria 5/6/11 reports byte-identical across repeated runs")

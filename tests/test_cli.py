@@ -254,6 +254,15 @@ class TestSearchVerb:
             ("scan", "4"),
             ["n_max", "violators", "minimum:3", "minimum:4", "instances_examined"],
         ),
+        (
+            ("--timing", "search", "one_two", "3"),
+            ["universe", "n", "exclude_universal", "minimum", "instances_examined",
+             "elapsed_ms", "witness"],
+        ),
+        (
+            ("--timing", "scan", "4"),
+            ["n_max", "violators", "minimum:3", "minimum:4", "instances_examined", "elapsed_ms"],
+        ),
     ],
 )
 def test_tsv_row_keys(argv, keys, capsys):
@@ -271,6 +280,12 @@ class TestScanVerb:
         assert "minimum:4\t6" in out
         assert list(tmp_path.iterdir()) == []
 
+    def test_timing_opt_in(self, capsys):
+        assert run_main("--format", "json", "scan", "4") == 0
+        assert "elapsed_ms" not in json.loads(capsys.readouterr().out)
+        assert run_main("--timing", "--format", "json", "scan", "4") == 0
+        assert isinstance(json.loads(capsys.readouterr().out)["elapsed_ms"], int)
+
     def test_violators_written(self, tmp_path, capsys, monkeypatch):
         # no real violator exists in range, so fake one to exercise the
         # reporting path
@@ -280,7 +295,6 @@ class TestScanVerb:
             violators=(g,),
             minima={3: 2},
             instances_examined=2,
-            elapsed=0.0,
         )
         import metriclines.cli as cli_mod
 

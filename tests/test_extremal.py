@@ -21,6 +21,7 @@ from metriclines import (
     complete_graph,
     complete_quadruple,
     construct,
+    dump_metric,
     equal_line_class,
     extremes,
     graph_metric,
@@ -196,9 +197,10 @@ class TestCheckBound:
         with pytest.raises(BadParams):
             check_bound(pentagon(), "calculus")
 
-    def test_report_serialization(self):
-        report = check_bound(pentagon(), "range")
-        d = report.to_json_dict()
+    def test_report_serialization(self, tmp_path, capsys):
+        path = tmp_path / "pentagon.txt"
+        path.write_text(dump_metric(pentagon()))
+        d = helpers.cli_json(capsys, "check", "range", path)
         assert d["pass"] is True
         assert d["lines_found"] == 10
         assert isinstance(d["bound_lo"], str)

@@ -39,6 +39,12 @@ class TestValidation:
         with pytest.raises(BadParams):
             validate_metric([[0, 1], [1, 0, 2]])
 
+    @pytest.mark.parametrize("scale", [0, -2])
+    def test_nonpositive_scale(self, scale):
+        # scale 0 gave a space whose dist divided by zero, -2 a distance of -1/2
+        with pytest.raises(BadParams, match="scale"):
+            validate_metric([[0, 1], [1, 0]], scale)
+
     def test_nonzero_diagonal(self):
         with pytest.raises(NonzeroDiagonal) as exc:
             validate_metric([[0, 1], [1, 1]])

@@ -19,6 +19,8 @@ from metriclines import (
 )
 from metriclines.search import _SPECS, UNIVERSES, triple_line_masks
 
+import helpers
+
 
 def _masks(universe, instance):
     *_, masks_of = _SPECS[universe]
@@ -77,12 +79,12 @@ class TestWitnessValidity:
         if rep.exclude_universal:
             assert (1 << rep.n) - 1 not in masks
 
-    def test_witness_text_round_trips(self):
+    def test_witness_text_round_trips(self, capsys):
         rep = min_lines("hypergraphs", 4)
-        back = load_triples_text(rep.witness_text())
+        back = load_triples_text(helpers.cli_json(capsys, "search", "hypergraphs", "4")["witness"])
         assert back.edges == rep.witness.edges
         rep = min_lines("one_two", 4)
-        back = load_graph_text(rep.witness_text())
+        back = load_graph_text(helpers.cli_json(capsys, "search", "one_two", "4")["witness"])
         assert back.adj == rep.witness.adj
 
 
@@ -176,20 +178,27 @@ class TestConjectureScan:
 
 
 class TestReportSerialization:
-    def test_json_dict_is_reproducible(self):
-        a = min_lines("one_two", 4).to_json_dict()
-        b = min_lines("one_two", 4).to_json_dict()
+    def test_json_dict_is_reproducible(self, capsys):
+        a = helpers.cli_json(capsys, "search", "one_two", "4")
+        b = helpers.cli_json(capsys, "search", "one_two", "4")
         assert a == b
         assert "elapsed_ms" not in a
 
-    def test_timing_opt_in(self):
-        rep = min_lines("one_two", 3)
-        with_timing = rep.to_json_dict(include_timing=True)
+    def test_timing_opt_in(self, capsys):
+        with_timing = helpers.cli_json(capsys, "--timing", "search", "one_two", "3")
         assert "elapsed_ms" in with_timing
         assert isinstance(with_timing["elapsed_ms"], int)
 
-    def test_scan_json_shape(self):
-        d = conjecture_scan(4).to_json_dict()
+    def test_scan_json_shape(self, capsys):
+        d = helpers.cli_json(capsys, "scan", "4")
         assert d["minima"] == {"3": 3, "4": 6}
         assert d["violators"] == []
         assert "elapsed_ms" not in d
+
+    @pytest.mark.parametrize("universe", UNIVERSES)
+    def test_repeated_searches_give_equal_records(self, universe):
+        for n in (3, 4):
+            assert min_lines(universe, n) == min_lines(universe, n)
+
+    def test_repeated_scans_give_equal_records(self):
+        assert conjecture_scan(4) == conjecture_scan(4)

@@ -15,6 +15,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ import pytest
 
 import metriclines
 from metriclines.bounds import ALPHA
+from metriclines.errors import Record
 from metriclines.extremal import path_graph, pentagon
 from metriclines.feasibility import FeasibilityResult
 from metriclines.metric import line_family
@@ -132,7 +134,7 @@ def test_value_reprs(make, text):
     assert repr(make()) == text
 
 
-SEARCH_FIELDS = ("hypergraphs", 4, True, 3, fano(), 10, 0.5)
+SEARCH_FIELDS = ("hypergraphs", 4, True, 3, fano(), 10)
 FEASIBILITY_FIELDS = (True, pentagon(), 1, 1)
 
 
@@ -153,3 +155,25 @@ def test_record_construction(cls, values):
         cls(*values, values[0])  # one too many
     with pytest.raises(TypeError):
         cls(*values, **{cls._fields[0]: values[0]})  # repeated
+
+
+def test_no_record_field_is_a_float():
+    # the records are exact values: a wall-clock time or any other float
+    # belongs in the CLI's output, not in a report
+    package = Path(metriclines.__file__).parent
+    for path in package.glob("*.py"):
+        if path.stem != "__init__":
+            importlib.import_module(f"metriclines.{path.stem}")
+    records, todo = [], [Record]
+    while todo:
+        cls = todo.pop()
+        records.append(cls)
+        todo.extend(cls.__subclasses__())
+    assert len(records) > 10
+    floats = [
+        f"{cls.__name__}.{name}"
+        for cls in records
+        for name, annotation in cls.__annotations__.items()
+        if re.search(r"\bfloat\b", str(annotation))
+    ]
+    assert floats == []
