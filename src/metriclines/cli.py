@@ -5,8 +5,10 @@ function, and render the record it returns.  The library's records are
 plain values; this module alone knows the output format and reads the
 clock.  Each verb builds one document from its record and prints it as TSV
 by default (metadata lines start with '#') or as a single canonical JSON
-document under --format json.  Under --timing, search and scan add
-elapsed_ms, the wall time of the library call as measured here.
+document under --format json.  _emit writes either in pieces, a few
+hundred list elements or rows at a time, so the whole text is never held
+as one string.  Under --timing, search and scan add elapsed_ms, the wall
+time of the library call as measured here.
 
 Exit codes: 0 success or bound pass, 1 bound fail or violator found,
 2 usage error, 3 input error.
@@ -27,6 +29,8 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain, islice
+from typing import TYPE_CHECKING
 
 from .errors import (
     BadParams,
@@ -48,6 +52,9 @@ from .fileio import (
     parse_rational,
 )
 
+if TYPE_CHECKING:
+    from collections.abc import Iterable
+
 # the library names the verbs call, imported through the package on first use
 _LIBRARY = frozenset(
     "check_bound construct metrizable MetricSpace line_family conjecture_scan "
@@ -68,10 +75,12 @@ def _lib(name: str):
 
 CHECKABLE_BOUNDS = ("range", "diam", "graphs_corollary", "onetwo_lower")
 _METRIC_BOUNDS = ("range", "onetwo_lower")
+# elements of a list in a JSON document, or rows of TSV, encoded per write
+_SLICE = 512
 
 
-def _canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+def _canonical_json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def _points_str(points) -> str:
@@ -93,17 +102,42 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _print(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
 def _field(value) -> str:
     return ("true" if value else "false") if isinstance(value, bool) else str(value)
 
 
 def _emit(args, doc: dict, tsv) -> None:
-    """Print a verb's document: canonical JSON, or the TSV rows tsv(doc) gives."""
-    _print(_canonical_json(doc) if args.format == "json" else "\n".join(tsv(doc)))
+    """Print a verb's document: canonical JSON, or the TSV rows tsv(doc) gives.
+
+    The text goes out in pieces and is never held whole.  JSON is written
+    key by key in sorted order, and a list or tuple value _SLICE elements at
+    a time; the bytes are those of _canonical_json(doc) and a newline.  TSV
+    rows go out _SLICE at a time, joined by newlines, and a newline ends the
+    text unless its last row already did.
+    """
+    write = sys.stdout.write
+    if args.format == "json":
+        write("{")
+        for k, key in enumerate(sorted(doc)):
+            write(("," if k else "") + _canonical_json(key) + ":")
+            value = doc[key]
+            if isinstance(value, (list, tuple)):
+                write("[")
+                for i in range(0, len(value), _SLICE):
+                    write(("," if i else "") + _canonical_json(value[i : i + _SLICE])[1:-1])
+                write("]")
+            else:
+                write(_canonical_json(value))
+        write("}\n")
+        return
+    rows = iter(tsv(doc))
+    tail = sep = ""
+    while chunk := list(islice(rows, _SLICE)):
+        text = sep + "\n".join(chunk)
+        write(text)
+        tail, sep = text[-1:] or tail, "\n"
+    if tail != "\n":
+        write("\n")
 
 
 def _timed(args, name: str, *params):
@@ -120,10 +154,9 @@ def _family_doc(fam) -> dict:
     return {"count": fam.count, "universal": fam.has_universal(), "lines": fam.lines}
 
 
-def _family_tsv(doc: dict) -> list[str]:
+def _family_tsv(doc: dict) -> Iterable[str]:
     rows = [f"# count\t{doc['count']}", f"# universal\t{_field(doc['universal'])}", "index\tpoints"]
-    rows.extend(f"{i}\t{_points_str(pts)}" for i, pts in enumerate(doc["lines"]))
-    return rows
+    return chain(rows, (f"{i}\t{_points_str(pts)}" for i, pts in enumerate(doc["lines"])))
 
 
 def _cmd_lines(args) -> int:
@@ -138,16 +171,15 @@ def _cmd_hyperlines(args) -> int:
     return 0
 
 
-def _triples_tsv(doc: dict) -> list[str]:
+def _triples_tsv(doc: dict) -> Iterable[str]:
     rows = [f"# n\t{doc['n']}", f"# count\t{doc['count']}", "index\ttriple"]
-    rows.extend(f"{i}\t{_points_str(e)}" for i, e in enumerate(doc["triples"]))
-    return rows
+    return chain(rows, (f"{i}\t{_points_str(e)}" for i, e in enumerate(doc["triples"])))
 
 
 def _cmd_triples(args) -> int:
     space = load_metric_text(_read_text(args.file), source=args.file)
     system = _lib("betweenness_triples")(space)
-    edges = system.sorted_edges()
+    edges = sorted(system.edges)
     _emit(args, {"n": system.n, "count": len(edges), "triples": edges}, _triples_tsv)
     return 0
 

@@ -15,8 +15,9 @@ class Record:
 
     Records of one class are equal when their fields are; a record never
     equals an object of another class, a tuple included.  The repr lists
-    the fields in order, and the hash is that of their tuple.  Nothing
-    assigns to a record's fields after construction.
+    the fields in order, and the hash is that of their tuple, with a dict
+    field as the frozenset of its items.  Nothing assigns to a record's
+    fields after construction.
     """
 
     _fields: tuple[str, ...] = ()
@@ -40,7 +41,9 @@ class Record:
         return self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._values())
+        # a dict field (ScanReport.minima, BoundReport.params) hashes as its items
+        values = self._values()
+        return hash(tuple([frozenset(v.items()) if isinstance(v, dict) else v for v in values]))
 
     def __repr__(self):
         body = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])

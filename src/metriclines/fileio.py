@@ -7,14 +7,17 @@ errors carry 1-based line and column positions; blank lines are skipped,
 and positions always refer to the physical file.
 
 A loader checks its input in a few passes over the whole text
-(_edge_list, _metric_table): one over splitlines() that keeps only the set
-of token counts per line, one split() for all tokens, and one map(int) over
-them.  An edge file then checks range and order on whole columns of
-vertices, and duplicates by the size of the frozenset of edges, which the
-TripleSystem keeps.  A table splits each p/q into an integer numerator and
-denominator and hands validate_metric its rows over the lcm of the
-denominators, with no Fraction.  Valid input keeps nothing per line, and
-no Python code runs per line; per token only int (and str.partition on a
+(_edge_list, _metric_table), each of which reads it in pieces of about
+_BLOCK characters that end on a line break (_blocks): one over the lines of
+each piece that keeps only how many lines hold each token count (_shape),
+and one that splits each piece into tokens and converts them with int
+(_values).  An edge file then checks range and order on whole columns of
+the vertices of a piece, and duplicates by the size of the frozenset of
+edges, which the TripleSystem keeps.  A table splits each p/q into an
+integer numerator and denominator and hands validate_metric its rows over
+the lcm of the denominators, with no Fraction.  Valid input keeps nothing
+per line, no Python code runs per line, and no list holds the tokens or
+lines of more than one piece; per token only int (and str.partition on a
 table with a p/q) is called.  When a check fails, the per-line walk
 (_walk_edge_list, _walk_metric) reads the text again, line by line and
 token by token, to raise the first error as a ParseError; valid input never
@@ -30,7 +33,8 @@ fractions only where a Fraction is built.
 from __future__ import annotations
 
 import re
-from itertools import repeat
+from collections import Counter
+from itertools import chain, repeat
 from math import lcm
 from operator import floordiv, itemgetter, lt, mul
 from typing import TYPE_CHECKING
@@ -39,6 +43,7 @@ from .errors import BadParams, ParseError
 from .metric import MetricSpace, validate_metric
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
     from fractions import Fraction
 
     from .graphs import Graph
@@ -56,6 +61,8 @@ UNIVERSES = ("hypergraphs", "one_two", "graph_metrics")
 # default cap on the edges metrizable will branch on (3**edges assignments)
 DEFAULT_EDGE_CAP = 12
 
+# characters of input a loader splits into tokens at a time
+_BLOCK = 8 << 10
 # patterns of the walk and of parse_rational, compiled on first use
 _RATIONAL = r"^[+-]?\d+(?:/\d+)?$"
 _INT = r"[+-]?\d+"
@@ -82,15 +89,38 @@ def parse_rational(token: str) -> int | Fraction:
     return int(token)
 
 
-def _shape(text: str) -> tuple[list[str], set[int]] | None:
-    """The tokens of the first non-blank line, and the token counts of the
-    lines after it (0 for a blank line); None if no line holds a token."""
-    lines = iter(text.splitlines())
-    for raw in lines:
-        head = raw.split()
-        if head:
-            return head, set(map(len, map(str.split, lines)))
-    return None
+def _blocks(text: str) -> Iterator[str]:
+    """text in pieces of at least _BLOCK characters, each but the last
+    ending just after a "\n", so that no line and no token spans two."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _shape(text: str) -> tuple[list[str], Counter[int]] | None:
+    """The tokens of the first non-blank line, and how many of the lines
+    after it hold each token count (0 for a blank line); None if no line
+    holds a token."""
+    head = None
+    counts = Counter()
+    for piece in _blocks(text):
+        lines = iter(piece.splitlines())
+        head = head or next(filter(None, map(str.split, lines)), None)
+        counts.update(map(len, map(str.split, lines)))
+    return (head, counts) if head else None
+
+
+def _values(text: str, skip: int, convert, *args) -> Iterator[list]:
+    """list(map(convert, tokens, *args)) for the tokens of each piece of
+    text, less the values of the first skip tokens of the text."""
+    for piece in _blocks(text):
+        vals = list(map(convert, piece.split(), *args))
+        if skip and vals:
+            del vals[:skip]
+            skip = 0
+        yield vals
 
 
 def _rows(text: str) -> list[tuple[int, str, list[str]]]:
@@ -114,7 +144,7 @@ def _parse_ints(
     return tuple(map(int, toks))
 
 
-def _metric_table(text: str) -> tuple[list[list[int]], int] | None:
+def _metric_table(text: str) -> tuple[list[tuple[int, ...]], int] | None:
     """The rows of a valid table as ints over a common scale, and the
     scale; None if any check fails.
 
@@ -127,26 +157,30 @@ def _metric_table(text: str) -> tuple[list[list[int]], int] | None:
     head, counts = shape
     if len(head) != 1:
         return None
-    tokens = text.split()
+    rows, dens, fractions = [], [], "/" in text
+    # "p" gives (p, "", ""), and "p/q" gives (p, "/", q)
+    convert = (str.partition, repeat("/")) if fractions else (int,)
     try:
         n = int(head[0])
-        if n < 1 or not counts <= {0, n} or len(tokens) != 1 + n * n:
+        if n < 1 or counts.keys() - {0, n} or counts[n] != n:
             return None
-        if "/" in text:
-            # "p" gives (p, "", ""), and "p/q" gives (p, "/", q)
-            parts = list(map(str.partition, tokens[1:], repeat("/")))
-            nums = map(int, map(itemgetter(0), parts))
-            dens = [int(q) if s else 1 for _, s, q in parts]
-            if 0 in dens:
-                return None
-            scale = lcm(*dens)
-            vals = list(map(mul, nums, map(floordiv, repeat(scale), dens)))
-        else:
-            scale = 1
-            vals = list(map(int, tokens[1:]))
+        # a piece ends with a line, so its values are whole rows
+        for vals in _values(text, 1, *convert):
+            if fractions:
+                dens += [int(q) if s else 1 for _, s, q in vals]
+                vals = map(int, map(itemgetter(0), vals))
+            vals = tuple(vals)
+            rows += [vals[i : i + n] for i in range(0, len(vals), n)]
     except ValueError:
         return None
-    return [vals[i : i + n] for i in range(0, n * n, n)], scale
+    if 0 in dens:
+        return None
+    scale = lcm(*dens)
+    if scale > 1:
+        # map stops at the end of a row, before it draws the next row's factor
+        factors = map(floordiv, repeat(scale), dens)
+        rows = [tuple(map(mul, row, factors)) for row in rows]
+    return rows, scale
 
 
 def _walk_metric(text: str, source: str) -> list[list[int | Fraction]]:
@@ -196,30 +230,36 @@ def dump_metric(S: MetricSpace) -> str:
 def _edge_list(text: str, arity: int) -> tuple[int, frozenset[tuple[int, ...]]] | None:
     """n and the edges of a valid edge-list text; None if any check fails.
 
-    The vertices of edge k are read from column j = 0 .. arity-1 of the
-    body, every arity-th value, so range, order and duplicates are checked
-    for all edges at once.
+    The vertices of edge k of a piece are read from column j = 0 .. arity-1
+    of its values, every arity-th value, so range and order are checked for
+    all its edges at once, and duplicates by the size of the frozenset.
     """
     shape = _shape(text)
     if shape is None or "_" in text:
         return None
     head, counts = shape
-    if len(head) != 2 or not counts <= {0, arity}:
+    if len(head) != 2 or counts.keys() - {0, arity}:
         return None
     try:
-        vals = list(map(int, text.split()))
+        n, m = map(int, head)
+        if n < 1 or counts[arity] != m:
+            return None
+        edges = frozenset(chain.from_iterable(_edges(text, arity, n)))
     except ValueError:
         return None
-    n, m = vals[0], vals[1]
-    if n < 1 or m < 0 or len(vals) != 2 + arity * m:
-        return None
-    cols = [vals[2 + j :: arity] for j in range(arity)]
-    if m and (min(cols[0]) < 0 or max(cols[-1]) >= n):
-        return None
-    if not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
-        return None
-    edges = frozenset(zip(*cols))
     return (n, edges) if len(edges) == m else None
+
+
+def _edges(text: str, arity: int, n: int) -> Iterator[Iterator[tuple[int, ...]]]:
+    """The edges of each piece of text; ValueError if a vertex is not an
+    int, out of range, or not above the one before it."""
+    for vals in _values(text, 2, int):
+        cols = [vals[j::arity] for j in range(arity)]
+        if vals and (min(cols[0]) < 0 or max(cols[-1]) >= n):
+            raise ValueError
+        if not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
+            raise ValueError
+        yield zip(*cols)
 
 
 def _walk_edge_list(

@@ -83,12 +83,12 @@ def betweenness_triples(S: MetricSpace) -> TripleSystem:
     if S.n < 3:
         raise TooFewPoints(S.n, 3)
     pairs = combinations(range(S.n), 2)
-    edges = [
+    edges = frozenset(
         (a, b, c)
         for (a, b), mask in zip(pairs, int_metric_line_masks(S.n, S.scaled))
         for c in mask_points(mask >> (b + 1) << (b + 1))
-    ]
-    return TripleSystem(S.n, frozenset(edges))
+    )
+    return TripleSystem(S.n, edges)
 
 
 def hyper_line(T: TripleSystem, u: int, v: int) -> frozenset[int]:

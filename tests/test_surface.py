@@ -25,10 +25,10 @@ import pytest
 import metriclines
 from metriclines.bounds import ALPHA
 from metriclines.errors import Record
-from metriclines.extremal import path_graph, pentagon
+from metriclines.extremal import check_bound, path_graph, pentagon
 from metriclines.feasibility import FeasibilityResult
 from metriclines.metric import line_family
-from metriclines.search import SearchReport
+from metriclines.search import SearchReport, conjecture_scan
 from metriclines.triples import fano
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -155,6 +155,14 @@ def test_record_construction(cls, values):
         cls(*values, values[0])  # one too many
     with pytest.raises(TypeError):
         cls(*values, **{cls._fields[0]: values[0]})  # repeated
+
+
+def test_records_with_dict_fields_hash():
+    # ScanReport.minima and BoundReport.params are dicts
+    for make in (lambda: conjecture_scan(4), lambda: check_bound(pentagon(), "range")):
+        first, second = make(), make()
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
 
 
 def test_no_record_field_is_a_float():
