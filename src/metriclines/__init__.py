@@ -26,9 +26,9 @@ _EXPORTS = {
         (
             "errors",
             "ArityMismatch AsymmetryError BadParams DegeneratePair DisconnectedGraph "
-            "EmptyUniverse IndexOutOfRange MetricLinesError NonpositiveDistance "
-            "NonzeroDiagonal NotOneTwoSpace ParseError PreconditionUnmet SizeCap "
-            "SolverFailure TooFewPoints TooManyAssignments TriangleViolation XInsideT",
+            "IndexOutOfRange MetricLinesError NonpositiveDistance NonzeroDiagonal "
+            "NotOneTwoSpace ParseError PreconditionUnmet SizeCap SolverFailure "
+            "TooFewPoints TooManyAssignments TriangleViolation XInsideT",
         ),
         (
             "extremal",

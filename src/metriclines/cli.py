@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     BadParams,
-    EmptyUniverse,
     MetricLinesError,
     SizeCap,
 )
@@ -386,9 +385,6 @@ def main(argv=None) -> int:
     except (BadParams, SizeCap) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except EmptyUniverse as exc:
-        sys.stderr.write(f"empty result: {exc}\n")
-        return 1
     except MetricLinesError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -139,10 +139,6 @@ class SizeCap(MetricLinesError):
     pass
 
 
-class EmptyUniverse(MetricLinesError):
-    pass
-
-
 class TooManyAssignments(MetricLinesError):
     def __init__(self, m: int, cap: int):
         self.m, self.cap = m, cap

@@ -35,34 +35,19 @@ from .errors import (
     check_pair,
     check_points,
 )
-from .metric import MetricSpace, pair_line_masks, validate_metric
+from .metric import MetricSpace, pair_line_masks
 
 
 class Graph(Record):
-    """Undirected graph on 0..n-1; adj[u] is the neighbor set of u as a bitmask."""
+    """Undirected graph on 0..n-1; adj[u] is the neighbor set of u as a bitmask.
+
+    Nothing is checked here.  The caller passes n >= 1 and n symmetric,
+    loop-free rows within n bits, as graph_from_edges, the one builder of
+    adjacency rows, does.
+    """
 
     n: int
     adj: tuple[int, ...]
-
-    def __init__(self, n: int, adj: tuple[int, ...]):
-        if n < 1:
-            raise BadParams(f"graph needs at least one vertex, got n={n}")
-        if len(adj) != n:
-            raise BadParams("adjacency rows do not match n")
-        full = (1 << n) - 1
-        for u, row in enumerate(adj):
-            if row & ~full:
-                raise BadParams(f"adjacency row {u} mentions vertices past n")
-            if row >> u & 1:
-                raise BadParams(f"self-loop at {u}")
-        for u, row in enumerate(adj):
-            while row:
-                v = (row & -row).bit_length() - 1
-                row &= row - 1
-                if not adj[v] >> u & 1:
-                    raise BadParams(f"adjacency not symmetric at ({min(u, v)},{max(u, v)})")
-        self.n = n
-        self.adj = adj
 
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -74,6 +59,10 @@ class Graph(Record):
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """The graph on 0..n-1 with the given edges; raises BadParams for n < 1
+    and for the first edge out of range or a self-loop."""
+    if n < 1:
+        raise BadParams(f"graph needs at least one vertex, got n={n}")
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -136,8 +125,8 @@ def graph_dist_rows(G: Graph) -> list[list[int]]:
 
 
 def graph_metric(G: Graph) -> MetricSpace:
-    """The shortest-path metric of a connected graph."""
-    return validate_metric(graph_dist_rows(G))
+    """The shortest-path metric of a connected graph; hop counts are a metric as they are."""
+    return MetricSpace(G.n, tuple(map(tuple, graph_dist_rows(G))))
 
 
 def diameter(G: Graph) -> int:

@@ -106,14 +106,10 @@ def maximize_scaled(
             elif not same_den:
                 ai[:] = [x * p // den for x in ai]
                 b[i] = b[i] * p // den
-        f = zrow[col]
-        if f:
-            zrow = [(x * p - f * y) // den for x, y in zip(zrow, mrow)]
-            zrow[col] = -f
-            zb = (zb * p - f * br) // den
-        elif not same_den:
-            zrow = [x * p // den for x in zrow]
-            zb = zb * p // den
+        f = zrow[col]  # negative, as col was chosen, so never 0
+        zrow = [(x * p - f * y) // den for x, y in zip(zrow, mrow)]
+        zrow[col] = -f
+        zb = (zb * p - f * br) // den
         mrow[col] = den
         basic[row], nonbasic[col] = nonbasic[col], basic[row]
         den = p

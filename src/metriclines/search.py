@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, Mapping, Union
 
 from .enumeration import MAX_GRAPH_N, MAX_TRIPLES_N, enum_graphs, enum_triple_systems
-from .errors import BadParams, EmptyUniverse, Record, SizeCap
+from .errors import BadParams, Record, SizeCap
 from .fileio import UNIVERSES
 from .graphs import Graph, graph_dist_rows, onetwo_line_masks
 from .metric import int_metric_line_masks
@@ -99,10 +99,7 @@ def min_lines(
         if count is not None and (best is None or count < best):
             best = count
             witness = inst
-    if best is None:
-        raise EmptyUniverse(
-            f"every {universe} instance on {n} points has a universal line"
-        )
+    # best is set: for n >= 3 the edgeless system and K_n have no universal line
     return SearchReport(
         universe=universe,
         n=n,

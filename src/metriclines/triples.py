@@ -10,29 +10,21 @@ triples always induce the same family of lines.
 from __future__ import annotations
 
 from itertools import combinations
-from operator import itemgetter, lt
 
 from .errors import BadParams, Record, TooFewPoints, XInsideT, check_pair, check_points
 from .metric import LineFamily, MetricSpace, family_from_masks, int_metric_line_masks, mask_points
 
 
 class TripleSystem(Record):
-    """A 3-uniform hypergraph; edges are stored as sorted tuples.
+    """A 3-uniform hypergraph on 0..n-1; edges are tuples a < b < c.
 
-    A nonempty frozenset of sorted tuples in range, as the parser, the
-    generators and betweenness_triples build, is checked in a few passes over
-    all edges and kept as it is; any other edge collection is sorted and
-    checked edge by edge.
+    Nothing is checked here.  The caller passes n >= 1 and a frozenset of
+    tuples 0 <= a < b < c < n, as triple_system, load_triples_text, the
+    enumeration and betweenness_triples do.
     """
 
     n: int
     edges: frozenset[tuple[int, int, int]]
-
-    def __init__(self, n: int, edges: frozenset[tuple[int, int, int]]):
-        if n < 1:
-            raise TooFewPoints(n, 1)
-        self.n = n
-        self.edges = edges if _sorted_in_range(n, edges) else _sorted_triples(n, edges)
 
     def sorted_edges(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(sorted(self.edges))
@@ -41,38 +33,20 @@ class TripleSystem(Record):
         return tuple(sorted((a, b, c))) in self.edges
 
 
-def _sorted_in_range(n: int, edges) -> bool:
-    """Whether edges is a frozenset of tuples (a, b, c), 0 <= a < b < c < n."""
-    if type(edges) is not frozenset or set(map(type, edges)) != {tuple} or set(map(len, edges)) != {3}:
-        return False
-    # one pass per comparison, with no copy of the edges' columns
-    first, mid, last = itemgetter(0), itemgetter(1), itemgetter(2)
-    return (
-        all(map(lt, map(first, edges), map(mid, edges)))
-        and all(map(lt, map(mid, edges), map(last, edges)))
-        and min(map(first, edges)) >= 0
-        and max(map(last, edges)) < n
-    )
-
-
-def _sorted_triples(n: int, edges) -> frozenset[tuple[int, int, int]]:
-    """edges as sorted tuples, raising BadParams for the first that is not a
-    triple on 0..n-1."""
+def triple_system(n: int, edges) -> TripleSystem:
+    """The system on 0..n-1 with edges as any iterables, in any order; raises
+    TooFewPoints for n < 1, BadParams for the first edge not a triple on 0..n-1."""
+    if n < 1:
+        raise TooFewPoints(n, 1)
     canon = set()
-    for e in edges:
-        t = e
-        if not (type(e) is tuple and len(e) == 3 and e[0] < e[1] < e[2]):
-            t = tuple(sorted(e))
-            if len(t) != 3 or len(set(t)) != 3:
-                raise BadParams(f"not a triple: {e}")
+    for e in frozenset(map(tuple, edges)):
+        t = tuple(sorted(e))
+        if len(t) != 3 or len(set(t)) != 3:
+            raise BadParams(f"not a triple: {e}")
         if not (0 <= t[0] and t[2] < n):
             raise BadParams(f"triple {e} out of range for n={n}")
         canon.add(t)
-    return frozenset(canon)
-
-
-def triple_system(n: int, edges) -> TripleSystem:
-    return TripleSystem(n, frozenset(tuple(e) for e in edges))
+    return TripleSystem(n, frozenset(canon))
 
 
 def betweenness_triples(S: MetricSpace) -> TripleSystem:

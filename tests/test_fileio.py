@@ -13,7 +13,6 @@ from metriclines import (
     BadParams,
     MetricLinesError,
     ParseError,
-    TripleSystem,
     balanced_group_space,
     betweenness_triples,
     dump_graph,
@@ -173,7 +172,7 @@ class TestIntegerTokens:
 
 class TestTripleSystemEdges:
     def test_unsorted_edges_are_sorted(self):
-        T = TripleSystem(5, frozenset({(3, 1, 0), (0, 2, 4), (1, 2, 3)}))
+        T = triple_system(5, frozenset({(3, 1, 0), (0, 2, 4), (1, 2, 3)}))
         assert T.edges == frozenset({(0, 1, 3), (0, 2, 4), (1, 2, 3)})
         assert triple_system(4, [[2, 0, 1]]).edges == frozenset({(0, 1, 2)})
 
@@ -191,7 +190,7 @@ class TestTripleSystemEdges:
     )
     def test_bad_edges(self, edge, message):
         with pytest.raises(BadParams) as exc:
-            TripleSystem(5, frozenset({edge}))
+            triple_system(5, frozenset({edge}))
         assert str(exc.value) == message
 
 

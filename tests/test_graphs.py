@@ -12,7 +12,6 @@ from metriclines import (
     ArityMismatch,
     BadParams,
     DisconnectedGraph,
-    Graph,
     IndexOutOfRange,
     MetricSpace,
     NotOneTwoSpace,
@@ -20,6 +19,7 @@ from metriclines import (
     are_twins,
     diameter,
     distinct_line_case,
+    enum_graphs,
     find_twins,
     geodesic_path,
     graph_from_edges,
@@ -71,14 +71,6 @@ class TestGraphBasics:
         with pytest.raises(BadParams):
             graph_from_edges(3, [(0, 3)])
 
-    def test_rejects_asymmetric_adjacency(self):
-        # 0 and 1 are adjacent both ways; 0 lists 2, but 2 does not list 0
-        with pytest.raises(BadParams, match=r"not symmetric at \(0,2\)"):
-            Graph(3, (0b110, 0b001, 0b000))
-        # and the same pair listed from the other side only
-        with pytest.raises(BadParams, match=r"not symmetric at \(0,2\)"):
-            Graph(3, (0b000, 0b000, 0b001))
-
     def test_adjacency_round_trip(self):
         rows = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
         G = adjacency_from_rows(rows)
@@ -103,6 +95,12 @@ class TestGraphBasics:
         S = graph_metric(G)
         assert max(max(row) for row in S.dist) <= 4
         validate_metric(S.dist)
+
+    def test_graph_metric_is_the_validated_hop_counts(self):
+        classes = [G for n in range(1, 8) for G in enum_graphs(n, connected=True)]
+        assert len(classes) == 996
+        for G in classes:
+            assert graph_metric(G) == validate_metric(graph_dist_rows(G))
 
 
 class TestGeodesic:

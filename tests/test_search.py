@@ -8,7 +8,6 @@ import pytest
 
 from metriclines import (
     BadParams,
-    EmptyUniverse,
     Graph,
     SizeCap,
     TripleSystem,
@@ -119,20 +118,6 @@ class TestValidationAndCaps:
         for universe in UNIVERSES:
             rep = min_lines(universe, 3)
             assert rep.exclude_universal is defaults[universe]
-
-    def test_empty_universe(self, monkeypatch):
-        # no real universe in range is empty (the edgeless system and the
-        # complete graph never have a universal line), so stub the
-        # enumeration down to a single path graph, whose line is universal
-        import metriclines.search as search_mod
-        from metriclines import graph_from_edges
-
-        path = graph_from_edges(3, [(0, 1), (1, 2)])
-        monkeypatch.setattr(
-            search_mod, "enum_graphs", lambda n, connected=False: [path]
-        )
-        with pytest.raises(EmptyUniverse):
-            min_lines("graph_metrics", 3)
 
 
 class TestTripleLineMasks:
