@@ -13,16 +13,17 @@ points is a class on n-1 points plus one column, and extending each class
 by every column, keeping the children whose tuple is minimal, yields every
 class exactly once; with sorted parents and increasing columns, in order.
 
-One generator serves both structures.  Each gives two callbacks and may
-give a third: extend builds a child's adjacency rows or links from its
-parent's and the new column, grow turns the columns of the unplaced
-vertices into their columns after one more vertex is placed, and, for
-graphs only, interchangeable tells the vertex pairs whose transposition is
-an automorphism.  Skipping such twins pays on graphs; on triple systems the
-test costs more than it saves, so they give none.  The minimality search
-carries every unplaced vertex's column down the tree and grows it by one
-slot per level, so no column is read out from scratch.  A table lookup on
-the new column rejects many children before any search.
+One generator serves both structures.  Each gives extend, which builds a
+child's adjacency rows or links from its parent's and the new column, and
+rules: a grow callback and, for graphs only, per-vertex twin masks, the
+vertices whose transposition with a vertex is an automorphism.  Skipping
+twins pays on graphs; on triple systems it costs more than it saves.  The
+minimality search holds the unplaced vertices as cells, as in McKay and
+Piperno's ordered partitions: one (column, vertex bitmask) pair per column
+they read out over the placed slots, in increasing column order.  grow
+splits each cell by the new slot's bits, so no column is read out from
+scratch, and the level's candidates are the first cell's vertices.  A
+table lookup on the new column rejects many children before any search.
 """
 
 from __future__ import annotations
@@ -33,36 +34,37 @@ from math import comb
 from typing import Sequence
 
 from .errors import SizeCap
-from .graphs import Graph, graph_from_edges, is_connected
+from .graphs import Graph, bfs_distances
 from .triples import TripleSystem
 
 MAX_GRAPH_N = 8
 MAX_TRIPLES_N = 6
 
 
-def _min_placement(n: int, grow, interchangeable, target=()) -> tuple[int, ...] | None:
+def _min_placement(n: int, grow, twins, target=()) -> tuple[int, ...] | None:
     """Smallest column tuple over all ways to place n vertices into slots.
 
-    A DFS node holds the placed vertices and each free vertex's column over
-    them; grow(free, cols, u, placed) gives the free vertices' columns once
-    u takes the next slot.  Only the vertices with the level's smallest
-    column are tried, and of those that interchangeable(u, v) pairs up,
-    only the first; with interchangeable None, all of them.  The path from
-    the root reads out a prefix that either ties the best tuple so far, when
-    only the level's own entry needs comparing, or is below it, which
-    happens only on the way to the first leaf below a node; a branch is cut
-    at the first level that reads out more than the best tuple.  Given a
-    target, the search starts from it, compares each level's minimum with
-    target[level] alone, and returns None at the first level where some
-    placement reads out less.
+    A DFS node holds the placed vertices and the free ones as cells: pairs
+    (column, vertex bitmask), one per column the free vertices read out over
+    the placed slots, in increasing column order.  grow(cells, u, placed)
+    gives the cells once u takes the next slot.  Only the first cell's
+    vertices, whose column is the level's smallest, are tried, in ascending
+    order; of those that twins[v] (a bitmask of the vertices whose
+    transposition with v is an automorphism) pairs up, only the first; with
+    twins None, all of them.  The path from the root reads out a prefix
+    that either ties the best tuple so far, when only the level's own entry
+    needs comparing, or is below it, which happens only on the way to the
+    first leaf below a node; a branch is cut at the first level that reads
+    out more than the best tuple.  Given a target, the search starts from
+    it, compares each level's minimum with target[level] alone, and returns
+    None at the first level where some placement reads out less.
     """
-    twins: dict[int, int] = {}  # per vertex, a bit per vertex interchangeable with it
     best = list(target)
     prefix = [0] * n
 
-    def dfs(placed: tuple[int, ...], free: list[int], cols: list[int], tie: bool) -> bool:
+    def dfs(placed: tuple[int, ...], cells: list[tuple[int, int]], tie: bool) -> bool:
         level = len(placed)
-        low = min(cols)
+        low, cand = cells[0]
         if tie and low != best[level]:
             if low > best[level]:
                 return True
@@ -75,23 +77,19 @@ def _min_placement(n: int, grow, interchangeable, target=()) -> tuple[int, ...] 
                 best[:] = prefix
             return True
         reps = 0
-        for i, v in enumerate(free):
-            if cols[i] != low:
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            v = bit.bit_length() - 1
+            if twins and twins[v] & reps:
                 continue
-            if reps and interchangeable:
-                if v not in twins:
-                    twins[v] = sum(1 << u for u in range(n) if u != v and interchangeable(u, v))
-                if twins[v] & reps:
-                    continue
-            reps |= 1 << v
-            rest = free[:i] + free[i + 1 :]
-            grown = grow(rest, cols[:i] + cols[i + 1 :], v, placed)
-            if not dfs(placed + (v,), rest, grown, tie):
+            reps |= bit
+            if not dfs(placed + (v,), grow(cells, v, placed), tie):
                 return False
             tie = True  # best now runs through this node
         return True
 
-    return tuple(best) if dfs((), list(range(n)), [0] * n, bool(target)) else None
+    return tuple(best) if dfs((), [(0, (1 << n) - 1)], bool(target)) else None
 
 
 @lru_cache(maxsize=None)
@@ -101,11 +99,11 @@ def _classes(n: int, lead: int, extend, rules_of) -> tuple[tuple[int, ...], ...]
     The column of slot k has one bit per lead-subset of the earlier slots,
     so the first lead levels are empty.  extend(state, col) adds a point
     with column col to a structure's state (its adjacency rows or links),
-    and rules_of(state) gives its grow and interchangeable callbacks (the
-    latter may be None).  The placement that keeps the parent's first n-2
-    slots and puts the new point in slot n-2 reads out the parent's columns
-    up to there; a child whose new point then reads out less than the
-    parent's last column is not minimal, and is rejected before the search.
+    and rules_of(state) gives its grow callback and twin masks (or None).
+    The placement that keeps the parent's first n-2 slots and puts the new
+    point in slot n-2 reads out the parent's columns up to there; a child
+    whose new point then reads out less than the parent's last column is
+    not minimal, and is rejected before the search.
     """
     if n <= lead:
         return ((),)
@@ -117,10 +115,10 @@ def _classes(n: int, lead: int, extend, rules_of) -> tuple[tuple[int, ...], ...]
     heads = []
     for col in range(1 << comb(n - 1, lead)):
         grow = rules_of(extend(empty, col))[0]
-        c = [0]
+        cells = [(0, 1 << n - 1)]
         for u in head:
-            c = grow([n - 1], c, u, head[:u])
-        heads.append(c[0])
+            cells = grow(cells, u, head[:u])
+        heads.append(cells[0][0])
     out = []
     for parent in _classes(n - 1, lead, extend, rules_of):
         base: list = []
@@ -135,40 +133,45 @@ def _classes(n: int, lead: int, extend, rules_of) -> tuple[tuple[int, ...], ...]
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _subsets(k: int, lead: int) -> tuple[tuple[int, ...], ...]:
-    """The lead-subsets of slots 0..k-1, lexicographically last first."""
-    return tuple(reversed(list(combinations(range(k), lead))))
-
-
-def _edges(n: int, lead: int, cols: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The sorted edges that a column tuple encodes."""
-    edges = []
-    for k in range(lead, n):
-        col = cols[k - lead]  # bit b: slot k with the b-th entry of _subsets(k, lead)
-        edges.extend((*s, k) for b, s in enumerate(_subsets(k, lead)) if col >> b & 1)
-    return edges
-
-
 def _graph_extend(adj: list[int], col: int) -> list[int]:
     """Adjacency rows with a new last vertex joined to the slots col lists."""
     k = len(adj)
-    rows = [row | (col >> (k - 1 - u) & 1) << k for u, row in enumerate(adj)]
-    rows.append(sum(1 << u for u, row in enumerate(rows) if row >> k & 1))
+    rows = [*adj, 0]
+    u = k
+    while col:  # the lowest bit is slot k - 1
+        u -= 1
+        if col & 1:
+            rows[u] |= 1 << k
+            rows[k] |= 1 << u
+        col >>= 1
     return rows
 
 
 def _graph_rules(adj: list[int]):
-    """Callbacks over adjacency rows; a column lists the placed slots, first most significant."""
+    """Callbacks over adjacency rows; a column lists the placed slots, first most significant.
 
-    def grow(free: list[int], cols: list[int], u: int, placed) -> list[int]:
+    Placing u splits each cell into its non-neighbours of u, then its
+    neighbours.  Twins have equal open or equal closed neighbourhoods.
+    """
+
+    def grow(cells: list[tuple[int, int]], u: int, placed) -> list[tuple[int, int]]:
         row = adj[u]
-        return [c << 1 | (row >> w & 1) for w, c in zip(free, cols)]
+        off = ~(row | 1 << u)
+        grown = []
+        for c, m in cells:
+            c <<= 1
+            if lo := m & off:
+                grown.append((c, lo))
+            if hi := m & row:
+                grown.append((c | 1, hi))
+        return grown
 
-    def interchangeable(u: int, v: int) -> bool:
-        return adj[u] & ~(1 << v) == adj[v] & ~(1 << u)
-
-    return grow, interchangeable
+    mates: dict[int, int] = {}  # per open (>= 0) or closed (< 0) neighbourhood, its vertices
+    for v, row in enumerate(adj):
+        for key in (row, ~(row | 1 << v)):
+            mates[key] = mates.get(key, 0) | 1 << v
+    twins = [(mates[row] | mates[~(row | 1 << v)]) & ~(1 << v) for v, row in enumerate(adj)]
+    return grow, twins
 
 
 def canonical_graph_cols(n: int, adj: Sequence[int]) -> tuple[int, ...]:
@@ -178,8 +181,15 @@ def canonical_graph_cols(n: int, adj: Sequence[int]) -> tuple[int, ...]:
     return _min_placement(n, *_graph_rules(list(adj)))[1:]  # level 0 is empty
 
 
+def _graph_rows(cols: tuple[int, ...]) -> list[int]:
+    rows: list[int] = []
+    for col in (0, *cols):
+        rows = _graph_extend(rows, col)
+    return rows
+
+
 def graph_from_cols(n: int, cols: tuple[int, ...]) -> Graph:
-    return graph_from_edges(n, _edges(n, 1, cols))
+    return Graph(n, tuple(_graph_rows(cols)))
 
 
 def _graph_classes(n: int) -> tuple[tuple[int, ...], ...]:
@@ -190,10 +200,16 @@ def enum_graphs(n: int, connected: bool = False) -> list[Graph]:
     """All graphs on n vertices up to isomorphism, in canonical order."""
     if not 1 <= n <= MAX_GRAPH_N:
         raise SizeCap(f"graph enumeration supports 1 <= n <= {MAX_GRAPH_N}, got {n}")
-    graphs = [graph_from_cols(n, cols) for cols in _graph_classes(n)]
+    rows = [_graph_rows(cols) for cols in _graph_classes(n)]
     if connected:
-        graphs = [G for G in graphs if is_connected(G)]
-    return graphs
+        rows = [adj for adj in rows if -1 not in bfs_distances(adj, n, 0)]
+    return [Graph(n, tuple(adj)) for adj in rows]
+
+
+@lru_cache(maxsize=None)
+def _pairs(k: int) -> tuple[tuple[int, int], ...]:
+    """The pairs of slots 0..k-1, lexicographically last first: bit b of a column is pair b."""
+    return tuple(reversed(list(combinations(range(k), 2))))
 
 
 def _triple_extend(link: list[list[int]], col: int) -> list[list[int]]:
@@ -201,7 +217,7 @@ def _triple_extend(link: list[list[int]], col: int) -> list[list[int]]:
     k = len(link)
     link = [row + [0] for row in link]
     link.append([0] * (k + 1))
-    for b, (i, j) in enumerate(_subsets(k, 2)):
+    for b, (i, j) in enumerate(_pairs(k)):
         if col >> b & 1:
             _link_triple(link, (i, j, k))
     return link
@@ -238,21 +254,26 @@ def _triple_rules(link: list[list[int]]):
 
     A column lists the pairs i < j of placed slots lexicographically, first
     pair most significant, so smaller columns mean sparser early slots.
+    Placing u spreads the columns and splits each cell on link[u][p] for
+    every placed p; the new bits fall between the old ones, hence the sort.
     """
 
-    def grow(free: list[int], cols: list[int], u: int, placed) -> list[int]:
+    def grow(cells: list[tuple[int, int]], u: int, placed) -> list[tuple[int, int]]:
         spread, ends = _spread(len(placed))
+        keep = ~(1 << u)
+        grown = [(spread[c], m & keep) for c, m in cells if m & keep]
         lu = link[u]
-        marks = list(zip(placed, ends))
-        grown = []
-        for w, c in zip(free, cols):
-            row = lu[w]
-            c = spread[c]
-            if row:
-                for p, bit in marks:
-                    if row >> p & 1:
-                        c |= bit
-            grown.append(c)
+        for p, bit in zip(placed, ends):
+            if not (on := lu[p]):
+                continue
+            split = []
+            for c, m in grown:
+                if lo := m & ~on:
+                    split.append((c, lo))
+                if hi := m & on:
+                    split.append((c | bit, hi))
+            grown = split
+        grown.sort()
         return grown
 
     return grow, None
@@ -269,7 +290,13 @@ def canonical_triples_cols(n: int, edges: frozenset[tuple[int, int, int]]) -> tu
 
 
 def triples_from_cols(n: int, cols: tuple[int, ...]) -> TripleSystem:
-    return TripleSystem(n, frozenset(_edges(n, 2, cols)))
+    edges = frozenset(
+        (i, j, k)
+        for k, col in enumerate(cols, 2)
+        for b, (i, j) in enumerate(_pairs(k))
+        if col >> b & 1
+    )
+    return TripleSystem(n, edges)
 
 
 def _triple_classes(n: int) -> tuple[tuple[int, ...], ...]:

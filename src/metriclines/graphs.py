@@ -42,8 +42,9 @@ class Graph(Record):
     """Undirected graph on 0..n-1; adj[u] is the neighbor set of u as a bitmask.
 
     Nothing is checked here.  The caller passes n >= 1 and n symmetric,
-    loop-free rows within n bits, as graph_from_edges, the one builder of
-    adjacency rows, does.
+    loop-free rows within n bits, as the two builders do: graph_from_edges,
+    which checks edges from outside the program, and the enumerator's
+    graph_from_cols, which reads them from canonical columns.
     """
 
     n: int

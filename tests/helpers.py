@@ -7,8 +7,10 @@ faster one replaced: the per-point line loop that the packed-row kernel
 replaced, the rational elimination of the metrizability LP, the per-line
 file loaders that the bulk parsers replaced, and the generate-and-dedup
 enumerator at the end, which canonicalizes through the package's full
-placement search.  cli_json reads the document a CLI call prints, for
-the tests of what the CLI alone renders.
+placement search.  That search is checked in turn against
+oracle_min_cols, the minimum readout over every permutation.  cli_json
+reads the document a CLI call prints, for the tests of what the CLI alone
+renders.
 """
 
 from __future__ import annotations
@@ -274,6 +276,30 @@ def reference_load_triples_text(text: str, source: str = "<string>") -> TripleSy
 def reference_load_graph_text(text: str, source: str = "<string>"):
     n, edges = _ref_edge_list(text, source, 2, "edge")
     return graph_from_edges(n, edges)
+
+
+def readout_cols(n: int, lead: int, edges: set[int], order) -> tuple[int, ...]:
+    """The column tuple read out by placing vertex order[k] in slot k.
+
+    edges holds each edge as a vertex bitmask with lead + 1 bits.  The
+    column of slot k has one bit per lead-subset s of slots 0..k-1, set
+    when s with slot k is an edge, and the lexicographically first subset
+    is the most significant: for graphs (lead 1) slot 0 comes first, for
+    triple systems (lead 2) the pairs in lexicographic order.
+    """
+    cols = []
+    for k in range(n):
+        col = 0
+        for s in itertools.combinations(order[:k], lead):
+            edge = sum(1 << v for v in s) | 1 << order[k]
+            col = col << 1 | (edge in edges)
+        cols.append(col)
+    return tuple(cols)
+
+
+def oracle_min_cols(n: int, lead: int, edges: set[int]) -> tuple[int, ...]:
+    """The smallest readout over every placement, levels 0..lead-1 included."""
+    return min(readout_cols(n, lead, edges, order) for order in itertools.permutations(range(n)))
 
 
 # Generate-and-dedup enumeration, the slow reference for orderly generation:

@@ -16,8 +16,15 @@ from metriclines import (
     enum_triple_systems,
 )
 from metriclines.enumeration import (
+    _classes,
     _graph_classes,
+    _graph_extend,
+    _graph_rules,
+    _link_triple,
+    _min_placement,
     _triple_classes,
+    _triple_extend,
+    _triple_rules,
     canonical_graph_cols,
     canonical_triples_cols,
     graph_from_cols,
@@ -179,6 +186,118 @@ class TestCanonicalForms:
             cols = canonical_graph_cols(4, G.adj)
             again = canonical_graph_cols(4, graph_from_cols(4, cols).adj)
             assert again == cols
+
+
+def _random_graph(rng, n):
+    """Adjacency rows and edge bitmasks of a random graph of random density."""
+    p = rng.random()
+    edges = {1 << u | 1 << v for u, v in itertools.combinations(range(n), 2) if rng.random() < p}
+    adj = [sum(1 << v for v in range(n) if 1 << u | 1 << v in edges) for u in range(n)]
+    return adj, edges
+
+
+def _random_triples(rng, n):
+    """Links and edge bitmasks of a random triple system of random density."""
+    p = rng.random()
+    triples = [t for t in itertools.combinations(range(n), 3) if rng.random() < p]
+    link = [[0] * n for _ in range(n)]
+    for t in triples:
+        _link_triple(link, t)
+    return link, triples, {sum(1 << v for v in t) for t in triples}
+
+
+class TestDefinitionOracle:
+    """The minimality search against the minimum readout over every placement.
+
+    In target mode the search is given the readout of a random placement,
+    and of the minimum itself, and must return None exactly when some
+    placement reads out less.
+    """
+
+    @staticmethod
+    def _check_targets(rng, n, lead, edges, rules, oracle):
+        order = list(range(n))
+        rng.shuffle(order)
+        for target in (helpers.readout_cols(n, lead, edges, order), oracle):
+            found = _min_placement(n, *rules, target)
+            assert (found is None) == (oracle < target)
+            assert found in (None, target)
+
+    def test_graphs(self):
+        rng = random.Random(2401)
+        for n in range(2, 8):
+            for _ in range(8 if n == 7 else 20):
+                adj, edges = _random_graph(rng, n)
+                oracle = helpers.oracle_min_cols(n, 1, edges)
+                assert canonical_graph_cols(n, adj) == oracle[1:]
+                self._check_targets(rng, n, 1, edges, _graph_rules(adj), oracle)
+
+    def test_triple_systems(self):
+        rng = random.Random(2402)
+        for n in range(3, 7):
+            for _ in range(30):
+                link, triples, edges = _random_triples(rng, n)
+                oracle = helpers.oracle_min_cols(n, 2, edges)
+                assert canonical_triples_cols(n, frozenset(triples)) == oracle[2:]
+                self._check_targets(rng, n, 2, edges, _triple_rules(link), oracle)
+
+    @staticmethod
+    def _check_cells(n, lead, edges, grow, order):
+        """grow along order against the free vertices grouped by their readout."""
+        cells = [(0, (1 << n) - 1)]
+        for k, u in enumerate(order[:-1]):
+            cells = grow(cells, u, order[:k])
+            split: dict[int, int] = {}
+            for w in order[k + 1 :]:
+                col = helpers.readout_cols(k + 2, lead, edges, order[: k + 1] + (w,))[-1]
+                split[col] = split.get(col, 0) | 1 << w
+            assert cells == sorted(split.items())
+
+    def test_cells_follow_the_definition(self):
+        # any vertex takes the next slot here, not only one of the first
+        # cell's: in a search, triple cells come out of order too rarely to
+        # test their sort
+        rng = random.Random(2403)
+        for n in range(2, 9):
+            for _ in range(10):
+                order = tuple(rng.sample(range(n), n))
+                adj, edges = _random_graph(rng, n)
+                self._check_cells(n, 1, edges, _graph_rules(adj)[0], order)
+                link, _, edges = _random_triples(rng, n)
+                self._check_cells(n, 2, edges, _triple_rules(link)[0], order)
+
+
+def _counted(rules_of, calls: list[int]):
+    """rules_of with every call of its grow callback counted in calls[0]."""
+
+    def rules(state):
+        grow, twins = rules_of(state)
+
+        def counting(*args):
+            calls[0] += 1
+            return grow(*args)
+
+        return counting, twins
+
+    return rules
+
+
+class TestWorkCounters:
+    """Grow calls over a whole generation: the size of the search tree.
+
+    A wrapped rules_of is a new cache key of _classes, so every level is
+    generated afresh, heads included.
+    """
+
+    def test_graph_grow_calls(self):
+        calls = [0]
+        _classes(7, 1, _graph_extend, _counted(_graph_rules, calls))
+        assert calls[0] == 95_011
+
+    def test_triple_grow_calls(self):
+        calls = [0]
+        _classes(5, 2, _triple_extend, _counted(_triple_rules, calls))
+        assert calls[0] == 4_492
 
 
 class TestCaps:
