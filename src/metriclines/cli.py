@@ -29,8 +29,8 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from itertools import chain, islice
-from typing import TYPE_CHECKING
 
 from .errors import (
     BadParams,
@@ -45,14 +45,13 @@ from .fileio import (
     dump_metric,
     dump_triples,
     format_rational,
+    graph_rows,
     load_graph_text,
     load_metric_text,
     load_triples_text,
+    metric_rows,
     parse_rational,
 )
-
-if TYPE_CHECKING:
-    from collections.abc import Iterable
 
 # the library names the verbs call, imported through the package on first use
 _LIBRARY = frozenset(
@@ -93,12 +92,25 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_rows(path: str | None, rows: Iterable[str]) -> None:
+    """Write each of rows and a newline to path, or to stdout for None or
+    "-", _SLICE rows at a time."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        _write_slices(sys.stdout.write, rows)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_slices(fh.write, rows)
+
+
+def _write_slices(write, rows: Iterable[str]) -> None:
+    rows = iter(rows)
+    while chunk := list(islice(rows, _SLICE)):
+        write("\n".join(chunk) + "\n")
 
 
 def _field(value) -> str:
@@ -109,10 +121,11 @@ def _emit(args, doc: dict, tsv) -> None:
     """Print a verb's document: canonical JSON, or the TSV rows tsv(doc) gives.
 
     The text goes out in pieces and is never held whole.  JSON is written
-    key by key in sorted order, and a list or tuple value _SLICE elements at
-    a time; the bytes are those of _canonical_json(doc) and a newline.  TSV
-    rows go out _SLICE at a time, joined by newlines, and a newline ends the
-    text unless its last row already did.
+    key by key in sorted order, and a list, tuple or iterator value _SLICE
+    elements at a time, as an array; the bytes are those of
+    _canonical_json(doc), with each iterator read as a list, and a newline.
+    TSV rows go out _SLICE at a time, joined by newlines, and a newline ends
+    the text unless its last row already did.
     """
     write = sys.stdout.write
     if args.format == "json":
@@ -120,10 +133,13 @@ def _emit(args, doc: dict, tsv) -> None:
         for k, key in enumerate(sorted(doc)):
             write(("," if k else "") + _canonical_json(key) + ":")
             value = doc[key]
-            if isinstance(value, (list, tuple)):
+            if isinstance(value, (list, tuple, Iterator)):
+                items = iter(value)
                 write("[")
-                for i in range(0, len(value), _SLICE):
-                    write(("," if i else "") + _canonical_json(value[i : i + _SLICE])[1:-1])
+                sep = ""
+                while chunk := list(islice(items, _SLICE)):
+                    write(sep + _canonical_json(chunk)[1:-1])
+                    sep = ","
                 write("]")
             else:
                 write(_canonical_json(value))
@@ -159,14 +175,16 @@ def _family_tsv(doc: dict) -> Iterable[str]:
 
 
 def _cmd_lines(args) -> int:
-    space = load_metric_text(_read_text(args.file), source=args.file)
-    _emit(args, _family_doc(_lib("line_family")(space)), _family_tsv)
+    # no name holds the space, so it is freed before the lines are written
+    family = _lib("line_family")(load_metric_text(_read_text(args.file), source=args.file))
+    _emit(args, _family_doc(family), _family_tsv)
     return 0
 
 
 def _cmd_hyperlines(args) -> int:
-    system = load_triples_text(_read_text(args.file), source=args.file)
-    _emit(args, _family_doc(_lib("hyper_line_family")(system)), _family_tsv)
+    # no name holds the system, so it is freed before the lines are written
+    family = _lib("hyper_line_family")(load_triples_text(_read_text(args.file), source=args.file))
+    _emit(args, _family_doc(family), _family_tsv)
     return 0
 
 
@@ -178,8 +196,8 @@ def _triples_tsv(doc: dict) -> Iterable[str]:
 def _cmd_triples(args) -> int:
     space = load_metric_text(_read_text(args.file), source=args.file)
     system = _lib("betweenness_triples")(space)
-    edges = sorted(system.edges)
-    _emit(args, {"n": system.n, "count": len(edges), "triples": edges}, _triples_tsv)
+    doc = {"n": system.n, "count": system.edge_count(), "triples": system.iter_edges()}
+    _emit(args, doc, _triples_tsv)
     return 0
 
 
@@ -213,10 +231,9 @@ def _cmd_construct(args) -> int:
     params = [parse_rational(token) for token in args.params]
     instance = _lib("construct")(args.kind, *params)
     if isinstance(instance, _lib("MetricSpace")):
-        text = dump_metric(instance)
+        _write_rows(args.output, metric_rows(instance))
     else:
-        text = dump_graph(instance)
-    _write_text(args.output, text)
+        _write_rows(args.output, graph_rows(instance))
     return 0
 
 

@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .errors import SizeCap
 from .graphs import Graph, bfs_distances
-from .triples import TripleSystem
+from .triples import TripleSystem, edge_links
 
 MAX_GRAPH_N = 8
 MAX_TRIPLES_N = 6
@@ -290,13 +290,13 @@ def canonical_triples_cols(n: int, edges: frozenset[tuple[int, int, int]]) -> tu
 
 
 def triples_from_cols(n: int, cols: tuple[int, ...]) -> TripleSystem:
-    edges = frozenset(
+    edges = (
         (i, j, k)
         for k, col in enumerate(cols, 2)
         for b, (i, j) in enumerate(_pairs(k))
         if col >> b & 1
     )
-    return TripleSystem(n, edges)
+    return TripleSystem(n, edge_links(n, edges))
 
 
 def _triple_classes(n: int) -> tuple[tuple[int, ...], ...]:

@@ -26,6 +26,9 @@ class Record:
         cls._fields = tuple(cls.__annotations__)
 
     def __init__(self, *args, **kwargs):
+        if not kwargs and len(args) == len(self._fields):
+            self.__dict__.update(zip(self._fields, args))
+            return
         values = dict(zip(self._fields, args), **kwargs)
         # a surplus positional is dropped by zip, a repeated field merged
         if len(values) != len(args) + len(kwargs) or values.keys() != set(self._fields):

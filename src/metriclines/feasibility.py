@@ -347,12 +347,13 @@ def _scan(
     return None, Fraction(0), None, decided
 
 
-def _witness_from(n: int, edges: tuple[_Triple, ...], dists: list[Fraction]) -> MetricSpace:
+def _witness_from(T: TripleSystem, dists: list[Fraction]) -> MetricSpace:
+    n = T.n
     table = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), d in zip(combinations(range(n), 2), dists):
         table[i][j] = table[j][i] = d
     space = validate_metric(table)
-    if betweenness_triples(space).edges != frozenset(edges):
+    if betweenness_triples(space) != T:
         raise SolverFailure("witness failed the betweenness round trip")
     return space
 
@@ -389,4 +390,4 @@ def metrizable(
     first, best, dists, _ = _scan(T.n, edges, cap, _automorphisms(edges))
     if first is None:
         return FeasibilityResult(False, None, 3 ** len(edges), best)
-    return FeasibilityResult(True, _witness_from(T.n, edges, dists), first + 1, best)
+    return FeasibilityResult(True, _witness_from(T, dists), first + 1, best)

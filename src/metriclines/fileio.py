@@ -6,19 +6,23 @@ graph files start with "n m" and list one sorted edge per line.  Parse
 errors carry 1-based line and column positions; blank lines are skipped,
 and positions always refer to the physical file.
 
-A loader checks its input in a few passes over the whole text
-(_edge_list, _metric_table), each of which reads it in pieces of about
-_BLOCK characters that end on a line break (_blocks): one over the lines of
-each piece that keeps only how many lines hold each token count (_shape),
-and one that splits each piece into tokens and converts them with int
-(_values).  An edge file then checks range and order on whole columns of
-the vertices of a piece, and duplicates by the size of the frozenset of
-edges, which the TripleSystem keeps.  A table splits each p/q into an
-integer numerator and denominator and hands validate_metric its rows over
-the lcm of the denominators, with no Fraction.  Valid input keeps nothing
-per line, no Python code runs per line, and no list holds the tokens or
-lines of more than one piece; per token only int (and str.partition on a
-table with a p/q) is called.  When a check fails, the per-line walk
+A loader checks its input in a few passes over the whole text (_edge_list,
+_metric_table), each of which reads it in pieces of about _BLOCK characters
+that end on a line break (_blocks): one over the lines of each piece that
+keeps only how many lines hold each token count (_shape), and one that
+splits each piece into tokens and converts them with int (_values).  An
+edge file then checks range and order on whole columns of the vertices of a
+piece.  A graph file keeps its edges as a frozenset and finds a duplicate
+by its size.  A triple file folds the edges of each piece into the links of
+its TripleSystem (triples.edge_links), one bitmask per pair, as the pieces
+are read; a duplicate edge sets bits that are already set, so fewer than 3m
+bits in all mark one.  No edge tuple is kept, only one pair tuple per pair
+on some edge.  A table splits each p/q into an integer numerator and
+denominator and hands validate_metric its rows over the lcm of the
+denominators, with no Fraction.  Valid input keeps nothing per line, and no
+list holds the tokens or lines of more than one piece; per token only int
+(and str.partition on a table with a p/q) is called, and no Python code
+runs per line but the fold's.  When a check fails, the per-line walk
 (_walk_edge_list, _walk_metric) reads the text again, line by line and
 token by token, to raise the first error as a ParseError; valid input never
 reaches it.
@@ -37,7 +41,7 @@ from collections import Counter
 from itertools import chain, repeat
 from math import lcm
 from operator import floordiv, itemgetter, lt, mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from .errors import BadParams, ParseError
 from .metric import MetricSpace, validate_metric
@@ -217,22 +221,30 @@ def load_metric_text(text: str, source: str = "<string>") -> MetricSpace:
     return validate_metric(rows, scale)
 
 
-def dump_metric(S: MetricSpace) -> str:
+def metric_rows(S: MetricSpace) -> Iterator[str]:
+    """The lines of S's text without their newlines: n, then one per row."""
     from fractions import Fraction
 
     s = S.scale
     entry = str if s == 1 else lambda x: format_rational(Fraction(x, s))
-    lines = [str(S.n)]
-    lines.extend(" ".join(map(entry, row)) for row in S.scaled)
-    return "\n".join(lines) + "\n"
+    yield str(S.n)
+    for row in S.scaled:
+        yield " ".join(map(entry, row))
 
 
-def _edge_list(text: str, arity: int) -> tuple[int, frozenset[tuple[int, ...]]] | None:
-    """n and the edges of a valid edge-list text; None if any check fails.
+def dump_metric(S: MetricSpace) -> str:
+    return "\n".join(metric_rows(S)) + "\n"
+
+
+def _edge_list(text: str, arity: int, fold) -> tuple[int, Any] | None:
+    """n and the edges of a valid edge-list text, as fold keeps them; None
+    if any check fails.
 
     The vertices of edge k of a piece are read from column j = 0 .. arity-1
     of its values, every arity-th value, so range and order are checked for
-    all its edges at once, and duplicates by the size of the frozenset.
+    all its edges at once.  fold(n, edges) takes the edges of every piece,
+    as they are read, and returns what it keeps and the number of distinct
+    edges, so that fewer than m marks a duplicate.
     """
     shape = _shape(text)
     if shape is None or "_" in text:
@@ -244,10 +256,10 @@ def _edge_list(text: str, arity: int) -> tuple[int, frozenset[tuple[int, ...]]] 
         n, m = map(int, head)
         if n < 1 or counts[arity] != m:
             return None
-        edges = frozenset(chain.from_iterable(_edges(text, arity, n)))
+        edges, distinct = fold(n, chain.from_iterable(_edges(text, arity, n)))
     except ValueError:
         return None
-    return (n, edges) if len(edges) == m else None
+    return (n, edges) if distinct == m else None
 
 
 def _edges(text: str, arity: int, n: int) -> Iterator[Iterator[tuple[int, ...]]]:
@@ -260,6 +272,11 @@ def _edges(text: str, arity: int, n: int) -> Iterator[Iterator[tuple[int, ...]]]
         if not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
             raise ValueError
         yield zip(*cols)
+
+
+def _edge_set(n: int, edges: Iterator[tuple[int, ...]]) -> tuple[frozenset[tuple[int, ...]], int]:
+    edges = frozenset(edges)
+    return edges, len(edges)
 
 
 def _walk_edge_list(
@@ -299,9 +316,18 @@ def _walk_edge_list(
 
 
 def load_triples_text(text: str, source: str = "<string>") -> TripleSystem:
-    from .triples import TripleSystem
+    from .triples import TripleSystem, edge_links
 
-    return TripleSystem(*(_edge_list(text, 3) or _walk_edge_list(text, source, 3, "triple")))
+    def fold(n: int, edges: Iterator[tuple[int, ...]]) -> tuple[dict[tuple[int, int], int], int]:
+        links = edge_links(n, edges)
+        # each distinct edge sets one bit in the mask of each of its pairs
+        return links, sum(map(int.bit_count, links.values())) // 3
+
+    parsed = _edge_list(text, 3, fold)
+    if parsed is None:
+        n, edges = _walk_edge_list(text, source, 3, "triple")
+        parsed = n, edge_links(n, edges)
+    return TripleSystem(*parsed)
 
 
 def dump_triples(T: TripleSystem) -> str:
@@ -314,11 +340,16 @@ def dump_triples(T: TripleSystem) -> str:
 def load_graph_text(text: str, source: str = "<string>") -> Graph:
     from .graphs import graph_from_edges
 
-    return graph_from_edges(*(_edge_list(text, 2) or _walk_edge_list(text, source, 2, "edge")))
+    return graph_from_edges(*(_edge_list(text, 2, _edge_set) or _walk_edge_list(text, source, 2, "edge")))
+
+
+def graph_rows(G: Graph) -> Iterator[str]:
+    """The lines of G's text without their newlines: "n m", then one per edge."""
+    edges = G.sorted_edges()
+    yield f"{G.n} {len(edges)}"
+    for u, v in edges:
+        yield f"{u} {v}"
 
 
 def dump_graph(G: Graph) -> str:
-    edges = G.sorted_edges()
-    lines = [f"{G.n} {len(edges)}"]
-    lines.extend(f"{u} {v}" for u, v in edges)
-    return "\n".join(lines) + "\n"
+    return "\n".join(graph_rows(G)) + "\n"

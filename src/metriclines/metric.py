@@ -28,7 +28,7 @@ which pairs generated it is not kept.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, count
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -119,7 +119,8 @@ def validate_metric(rows: Sequence[Sequence[Fraction | int | str]], scale: int =
     of ints alone builds no Fraction.  Checks run in a fixed order: shape,
     diagonal/positivity/symmetry swept row by row, then triangle
     inequalities over pairs i < j (lexicographic) with the intermediate
-    point k ascending.
+    point k ascending.  The triangle pass is skipped when no distance is
+    more than twice another, which holds every inequality.
     """
     if scale < 1:
         raise BadParams(f"scale must be a positive integer, got {scale}")
@@ -162,6 +163,10 @@ def validate_metric(rows: Sequence[Sequence[Fraction | int | str]], scale: int =
                 raise AsymmetryError(i, j)
             if Di[j] <= 0:
                 raise NonpositiveDistance(i, j)
+    # with every distance between lo and 2*lo, as in a 1-2 space,
+    # d(i,j) <= 2*lo <= d(i,k) + d(k,j) for every k, so no triangle fails
+    if n < 3 or max(map(max, D)) <= 2 * min(min(row[i + 1 :]) for i, row in enumerate(D[:-1])):
+        return S
     # k = i and k = j give d(i,j) itself, so a top bit is lost exactly when
     # some other k violates the inequality
     size, packed = S.packed
@@ -262,8 +267,19 @@ def pair_line_masks(S: MetricSpace, pairs: Iterable[tuple[int, int]]) -> list[in
     return _line_masks(S.n, S.scaled, *S.packed, pairs)
 
 
+# a binary digit of a mask as the byte compress tests: 1 for "1", 0 for "0"
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def mask_points(mask: int) -> tuple[int, ...]:
-    """The set bits of mask, ascending."""
+    """The set bits of mask, ascending.
+
+    A mask with at least one set bit in eight is read off its binary
+    digits, lowest first, by compress, which costs about 25 ns a digit; a
+    sparser one one set bit at a time, which costs about 250 ns a bit.
+    """
+    if mask.bit_count() * 8 >= mask.bit_length():
+        return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BITS)))
     pts = []
     while mask:
         low = mask & -mask

@@ -268,9 +268,20 @@ def _ref_edge_list(text: str, source: str, arity: int, kind: str):
     return n, edges
 
 
+def reference_links(n: int, edges) -> dict[tuple[int, int], int]:
+    """TripleSystem's links by their definition: per pair u < v on some
+    edge, in lexicographic order, the bitmask of the w with {u, v, w} among
+    edges."""
+    thirds: dict[tuple[int, int], set[int]] = {}
+    for e in map(frozenset, edges):
+        for u, v in itertools.combinations(sorted(e), 2):
+            thirds.setdefault((u, v), set()).update(e - {u, v})
+    return {pair: sum(1 << w for w in thirds[pair]) for pair in sorted(thirds)}
+
+
 def reference_load_triples_text(text: str, source: str = "<string>") -> TripleSystem:
     n, edges = _ref_edge_list(text, source, 3, "triple")
-    return TripleSystem(n, frozenset(edges))
+    return TripleSystem(n, reference_links(n, edges))
 
 
 def reference_load_graph_text(text: str, source: str = "<string>"):

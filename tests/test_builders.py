@@ -1,10 +1,11 @@
 """The rules that TripleSystem and Graph keep without checking them.
 
 The two classes store what they are given, so the builders are where their
-rules hold.  A triple system's edges are a frozenset of int tuples
-0 <= a < b < c < n; a graph has n >= 1 rows that are symmetric, loop-free
-and within n bits.  Every builder of either kind is run here and its result
-checked against those rules.
+rules hold.  A triple system's links map int pairs 0 <= u < v < n, in
+lexicographic order, to nonzero masks of the third points of their edges,
+each edge seen from all three of its pairs; a graph has n >= 1 rows that
+are symmetric, loop-free and within n bits.  Every builder of either kind
+is run here and its result checked against those rules.
 """
 
 from __future__ import annotations
@@ -47,6 +48,17 @@ GRAPH_FILES = ("cycle7", "cycle131", "path6")
 
 def assert_sorted_triples(T: TripleSystem) -> None:
     assert type(T.n) is int and T.n >= 1
+    assert type(T.links) is dict
+    assert list(T.links) == sorted(T.links)
+    for (u, v), mask in T.links.items():
+        assert type(u) is type(v) is type(mask) is int
+        assert 0 <= u < v < T.n and 0 < mask < 1 << T.n
+        assert not mask >> u & 1 and not mask >> v & 1
+        # each edge sets a bit in the mask of each of its three pairs
+        for w in range(T.n):
+            if mask >> w & 1:
+                assert T.links[min(u, w), max(u, w)] >> v & 1
+                assert T.links[min(v, w), max(v, w)] >> u & 1
     assert type(T.edges) is frozenset
     for e in T.edges:
         assert type(e) is tuple and len(e) == 3

@@ -389,7 +389,8 @@ def test_shape_peak_memory():
 
 def test_triples_parse_peak_memory():
     """The 13,050 triples of an 80-point balanced group space load within
-    4 MB of traced allocations; the per-line loader took 7.2 MB."""
+    1 MB of traced allocations (0.58 MB); the per-line loader took 7.2 MB,
+    and the bulk loader 1.4 MB while it kept a frozenset of edge tuples."""
     text = dump_triples(betweenness_triples(balanced_group_space(80)))
     assert text.count("\n") == 13_051
     load_triples_text("3 1\n0 1 2\n")  # imports triples before tracing
@@ -399,5 +400,20 @@ def test_triples_parse_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(T.edges) == 13_050
-    assert peak < 4_000_000, peak
+    assert T.edge_count() == 13_050
+    assert peak < 1_000_000, peak
+
+
+def test_betweenness_triples_peak_memory():
+    """The triples of an 80-point balanced group space are found within
+    1 MB of traced allocations (0.61 MB), with one mask per pair; a
+    frozenset of the edge tuples took 1.5 MB."""
+    S = balanced_group_space(80)
+    tracemalloc.start()
+    try:
+        T = betweenness_triples(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.edge_count() == 13_050
+    assert peak < 1_000_000, peak

@@ -217,6 +217,91 @@ class TestValidationMatchesReference:
         assert exc == outcome(oracle_validate, rows)
 
 
+def one_two_tables(n: int):
+    """Every table on n points with each distance 1 or 2."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        rows = [[0] * n for _ in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            rows[i][j] = rows[j][i] = 1 + (bits >> k & 1)
+        yield rows
+
+
+def corrupted(rows):
+    """Copies of rows with one entry, or one symmetric pair of entries, changed."""
+    n = len(rows)
+    for i, j in itertools.product(range(n), repeat=2):
+        for value in (0, Fraction(1, 2), 3, 4, 5):
+            out = [row[:] for row in rows]
+            out[i][j] = value
+            yield out
+            if i != j:
+                out = [row[:] for row in out]
+                out[j][i] = value
+                yield out
+
+
+class TestBoundedRatioSkipsTheTrianglePass:
+    """With no distance above twice another, as in every 1-2 table, the
+    triangle pass is skipped; the result must be that of the full pass."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_one_two_table(self, n):
+        for rows in one_two_tables(n):
+            S = validate_metric(rows)
+            assert S.scaled == tuple(map(tuple, rows)) and S.scale == 1
+            if n <= 5:  # the Fraction pass takes 10 s over the 32,768 tables on 6
+                assert outcome(oracle_validate, rows) is None
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_corrupted_copies(self, n):
+        kinds = set()
+        for rows in one_two_tables(n):
+            for bad in corrupted(rows):
+                got = outcome(validate_metric, bad)
+                assert got == outcome(oracle_validate, bad)
+                kinds.add(got and got[0].__name__)
+        if n >= 3:
+            assert {"TriangleViolation", "AsymmetryError", None} <= kinds
+
+    def test_corrupted_six_point_tables(self):
+        rng = random.Random(6)
+        tables = list(one_two_tables(6))
+        for _ in range(300):
+            bad = rng.choice(list(corrupted(rng.choice(tables))))
+            assert outcome(validate_metric, bad) == outcome(oracle_validate, bad)
+
+    def test_ratio_two_is_enough(self):
+        # 3 against 2 is no 1-2 table, but no distance exceeds twice another
+        rows = [[0, 2, 3, 2], [2, 0, 2, 4], [3, 2, 0, 2], [2, 4, 2, 0]]
+        assert outcome(validate_metric, rows) is None is outcome(oracle_validate, rows)
+        rows[1][3] = rows[3][1] = 5
+        assert outcome(validate_metric, rows) == (TriangleViolation, {"i": 1, "j": 3, "k": 0})
+        assert outcome(validate_metric, rows) == outcome(oracle_validate, rows)
+
+
+def bit_loop_points(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, one lowest set bit at a time."""
+    pts = []
+    while mask:
+        low = mask & -mask
+        pts.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(pts)
+
+
+def test_mask_points_matches_the_bit_loop():
+    # both ways of reading a mask: its digits, and one set bit at a time
+    for mask in range(1 << 12):
+        assert mask_points(mask) == bit_loop_points(mask)
+    rng = random.Random(1000)
+    for _ in range(200):
+        dense = rng.getrandbits(1000)
+        sparse = dense & rng.getrandbits(1000) & rng.getrandbits(1000) & rng.getrandbits(1000)
+        for mask in (dense, sparse, dense | 1 << 999, sparse | 1 << 999):
+            assert mask_points(mask) == bit_loop_points(mask)
+
+
 class TestOneTwoCheck:
     def test_half_distances_are_not_one_two(self):
         # scaled by 2, the distances 1/2 and 1 become 1 and 2

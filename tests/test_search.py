@@ -122,11 +122,11 @@ class TestValidationAndCaps:
 
 class TestTripleLineMasks:
     def test_edgeless(self):
-        T = TripleSystem(3, frozenset())
+        T = TripleSystem(3, {})
         assert sorted(triple_line_masks(T)) == [0b011, 0b101, 0b110]
 
     def test_single_triple_merges_all(self):
-        T = TripleSystem(3, frozenset({(0, 1, 2)}))
+        T = TripleSystem(3, {(0, 1): 0b100, (0, 2): 0b010, (1, 2): 0b001})
         assert set(triple_line_masks(T)) == {0b111}
 
 

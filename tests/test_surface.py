@@ -106,7 +106,7 @@ def test_no_unused_imports():
     assert unused == []
 
 
-# recorded before the value classes moved onto Record
+# recorded before the value classes moved onto Record; TripleSystem's since it holds links
 REPRS = (
     (
         pentagon,
@@ -122,8 +122,10 @@ REPRS = (
     (lambda: path_graph(2), "Graph(n=3, adj=(2, 5, 2))"),
     (
         fano,
-        "TripleSystem(n=7, edges=frozenset({(3, 4, 6), (0, 1, 3), (2, 3, 5), (1, 5, 6), "
-        "(0, 2, 6), (0, 4, 5), (1, 2, 4)}))",
+        "TripleSystem(n=7, links={(0, 1): 8, (0, 2): 64, (0, 3): 2, (0, 4): 32, (0, 5): 16, "
+        "(0, 6): 4, (1, 2): 16, (1, 3): 1, (1, 4): 4, (1, 5): 64, (1, 6): 32, (2, 3): 32, "
+        "(2, 4): 2, (2, 5): 8, (2, 6): 1, (3, 4): 64, (3, 5): 4, (3, 6): 16, (4, 5): 1, "
+        "(4, 6): 8, (5, 6): 2})",
     ),
     (lambda: ALPHA, "PowerBound(base=Fraction(1, 128), root=3, shift=Fraction(0, 1))"),
 )

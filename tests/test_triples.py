@@ -20,9 +20,23 @@ from metriclines import (
     triple_system,
     vertex_signatures,
 )
+from metriclines.extremal import balanced_group_space, group_space, path_graph, pentagon
+from metriclines.graphs import graph_to_space
 from metriclines.metric import mask_points
 from metriclines.triples import triple_line_masks
-from helpers import oracle_triples, random_int_space, random_rational_space
+from helpers import oracle_triples, random_int_space, random_rational_space, reference_links
+
+
+# the spaces of the acceptance criteria: the pentagon (1), the group spaces
+# (6), random integer (7) and rational (3) spaces, and a path metric (8)
+CRITERION_SPACES = [
+    pentagon(),
+    *(group_space(k, m) for k in (3, 4, 5) for m in (3, 4, 5)),
+    balanced_group_space(12),
+    *(random_int_space(random.Random(1729 + n), n) for n in range(3, 11)),
+    *(random_rational_space(random.Random(seed), 7) for seed in range(4)),
+    graph_to_space(path_graph(6)),
+]
 
 
 class TestConstruction:
@@ -62,6 +76,45 @@ class TestBetweennessTriples:
     def test_uniform_space_has_no_triples(self):
         S = random_int_space(random.Random(0), 4, lo=3, hi=3)
         assert betweenness_triples(S).sorted_edges() == ()
+
+    @pytest.mark.parametrize("S", CRITERION_SPACES, ids=lambda S: f"n{S.n}")
+    def test_matches_the_fraction_definition(self, S):
+        T = betweenness_triples(S)
+        assert T.edges == oracle_triples(S.dist)
+        assert T.links == reference_links(S.n, T.edges)
+
+
+def assert_views_match_edges(T, edges: set) -> None:
+    """Everything TripleSystem reads off its links, against the same thing
+    defined on the edge tuples."""
+    n = T.n
+    assert T.links == reference_links(n, edges)
+    assert list(T.links) == sorted(T.links) and all(T.links.values())
+    assert T.edges == edges
+    assert T.sorted_edges() == tuple(sorted(edges)) == tuple(T.iter_edges())
+    assert T.edge_count() == len(edges)
+    for t in itertools.product(range(n), repeat=3):
+        assert T.has_edge(*t) == (tuple(sorted(t)) in edges)
+    lines = []
+    for u, v in itertools.combinations(range(n), 2):
+        line = {u, v}.union(*(e for e in edges if u in e and v in e))
+        assert hyper_line(T, u, v) == hyper_line(T, v, u) == line
+        lines.append(sum(1 << w for w in line))
+    assert triple_line_masks(T) == lines
+
+
+class TestLinksMatchTheEdgeTuples:
+    def test_every_labelled_system_on_five_points(self):
+        triples = list(itertools.combinations(range(5), 3))
+        for bits in range(1 << len(triples)):
+            edges = {t for k, t in enumerate(triples) if bits >> k & 1}
+            assert_views_match_edges(triple_system(5, edges), edges)
+
+    def test_every_class_on_six_points(self):
+        classes = enum_triple_systems(6)
+        assert len(classes) == 2136
+        for T in classes:
+            assert_views_match_edges(T, set(T.edges))
 
 
 class TestHyperLines:
