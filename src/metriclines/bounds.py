@@ -9,7 +9,6 @@ comparing q**root with base, and reported values are rational sandwiches
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Union
 
@@ -33,32 +32,21 @@ BOUND_IDS = (
 def int_nthroot(a: int, k: int) -> tuple[int, bool]:
     """Largest r with r**k <= a, plus whether r**k == a exactly.
 
-    a must be a nonnegative integer and k a positive integer.
+    a must be a nonnegative integer and k a positive integer.  r is found by
+    bisection on lo**k <= a < hi**k, from lo = 0 and hi = 2**ceil(bits(a)/k).
     """
     if k < 1:
         raise BadParams(f"root must be positive, got {k}")
     if a < 0:
         raise BadParams(f"radicand must be nonnegative, got {a}")
-    if k == 1 or a in (0, 1):
-        return a, True
-    if k == 2:
-        r = math.isqrt(a)
-        return r, r * r == a
-    if a.bit_length() <= k:
-        # 1**k <= a < 2**k
-        return 1, a == 1
-    # Newton iteration on r**k - a, started above the true root.
-    r = 1 << -(-a.bit_length() // k)
-    while True:
-        nr = ((k - 1) * r + a // r ** (k - 1)) // k
-        if nr >= r:
-            break
-        r = nr
-    while r ** k > a:
-        r -= 1
-    while (r + 1) ** k <= a:
-        r += 1
-    return r, r ** k == a
+    lo, hi = 0, 1 << -(-a.bit_length() // k)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k <= a:
+            lo = mid
+        else:
+            hi = mid
+    return lo, lo**k == a
 
 
 class PowerBound(Record):

@@ -7,8 +7,10 @@ clock.  Each verb builds one document from its record and prints it as TSV
 by default (metadata lines start with '#') or as a single canonical JSON
 document under --format json.  _emit writes either in pieces, a few
 hundred list elements or rows at a time, so the whole text is never held
-as one string.  Under --timing, search and scan add elapsed_ms, the wall
-time of the library call as measured here.
+as one string.  One writer, _write_rows, slices every text of rows: _emit's
+TSV, construct's instance and scan's violator files.  Under --timing,
+search and scan add elapsed_ms, the wall time of the library call as
+measured here.
 
 Exit codes: 0 success or bound pass, 1 bound fail or violator found,
 2 usage error, 3 input error.
@@ -30,6 +32,7 @@ import json
 import sys
 import time
 from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
 from itertools import chain, islice
 
 from .errors import (
@@ -86,31 +89,27 @@ def _points_str(points) -> str:
 
 
 def _read_text(path: str) -> str:
+    """The text of path, or of stdin for "-", as UTF-8 whatever the locale;
+    a byte that is not UTF-8 becomes a lone surrogate, which the parser
+    reports with its position."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+        return sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return fh.read()
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _write_rows(path: str | None, rows: Iterable[str]) -> None:
-    """Write each of rows and a newline to path, or to stdout for None or
-    "-", _SLICE rows at a time."""
-    if path is None or path == "-":
-        _write_slices(sys.stdout.write, rows)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            _write_slices(fh.write, rows)
-
-
-def _write_slices(write, rows: Iterable[str]) -> None:
-    rows = iter(rows)
-    while chunk := list(islice(rows, _SLICE)):
-        write("\n".join(chunk) + "\n")
+    """Write rows joined by newlines to path, or to stdout for None or "-",
+    _SLICE rows at a time, and a newline unless the last row ends with one."""
+    with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", encoding="utf-8") as fh:
+        rows = iter(rows)
+        tail = sep = ""
+        while chunk := list(islice(rows, _SLICE)):
+            text = sep + "\n".join(chunk)
+            fh.write(text)
+            tail, sep = text[-1:] or tail, "\n"
+        if tail != "\n":
+            fh.write("\n")
 
 
 def _field(value) -> str:
@@ -124,8 +123,7 @@ def _emit(args, doc: dict, tsv) -> None:
     key by key in sorted order, and a list, tuple or iterator value _SLICE
     elements at a time, as an array; the bytes are those of
     _canonical_json(doc), with each iterator read as a list, and a newline.
-    TSV rows go out _SLICE at a time, joined by newlines, and a newline ends
-    the text unless its last row already did.
+    TSV rows go out through _write_rows.
     """
     write = sys.stdout.write
     if args.format == "json":
@@ -144,15 +142,8 @@ def _emit(args, doc: dict, tsv) -> None:
             else:
                 write(_canonical_json(value))
         write("}\n")
-        return
-    rows = iter(tsv(doc))
-    tail = sep = ""
-    while chunk := list(islice(rows, _SLICE)):
-        text = sep + "\n".join(chunk)
-        write(text)
-        tail, sep = text[-1:] or tail, "\n"
-    if tail != "\n":
-        write("\n")
+    else:
+        _write_rows(None, tsv(doc))
 
 
 def _timed(args, name: str, *params):
@@ -230,10 +221,8 @@ def _cmd_check(args) -> int:
 def _cmd_construct(args) -> int:
     params = [parse_rational(token) for token in args.params]
     instance = _lib("construct")(args.kind, *params)
-    if isinstance(instance, _lib("MetricSpace")):
-        _write_rows(args.output, metric_rows(instance))
-    else:
-        _write_rows(args.output, graph_rows(instance))
+    rows = metric_rows if isinstance(instance, _lib("MetricSpace")) else graph_rows
+    _write_rows(args.output, rows(instance))
     return 0
 
 
@@ -280,7 +269,7 @@ def _cmd_scan(args) -> int:
     _emit(args, doc, _scan_tsv)
     for i, (g, text) in enumerate(zip(report.violators, violators)):
         path = f"{args.out_dir}/violator_n{g.n}_{i}.txt"
-        _write_text(path, text)
+        _write_rows(path, [text])
         sys.stderr.write(f"violator written to {path}\n")
     return 1 if violators else 0
 

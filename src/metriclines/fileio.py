@@ -22,10 +22,10 @@ denominator and hands validate_metric its rows over the lcm of the
 denominators, with no Fraction.  Valid input keeps nothing per line, and no
 list holds the tokens or lines of more than one piece; per token only int
 (and str.partition on a table with a p/q) is called, and no Python code
-runs per line but the fold's.  When a check fails, the per-line walk
-(_walk_edge_list, _walk_metric) reads the text again, line by line and
-token by token, to raise the first error as a ParseError; valid input never
-reaches it.
+runs per line but the fold's.  Only these checks build a value.  When one
+fails, the per-line walk (_walk_edge_list, _walk_metric) reads the text
+again, line by line and token by token, and only reports: it raises the
+first error as a ParseError, and valid input never reaches it.
 
 The module also holds the names that construct (extremal) and min_lines
 (search) accept, and metrizable's default edge cap (feasibility), so that
@@ -187,8 +187,8 @@ def _metric_table(text: str) -> tuple[list[tuple[int, ...]], int] | None:
     return rows, scale
 
 
-def _walk_metric(text: str, source: str) -> list[list[int | Fraction]]:
-    """The table line by line, raising the first error as a ParseError."""
+def _walk_metric(text: str, source: str) -> None:
+    """Read the table line by line, raising the first error as a ParseError."""
     rows_in = _rows(text)
     if not rows_in:
         raise ParseError(source, 1, 1, "empty input")
@@ -202,23 +202,18 @@ def _walk_metric(text: str, source: str) -> list[list[int | Fraction]]:
     if len(body) != n:
         where = body[-1][0] + 1 if body else lineno + 1
         raise ParseError(source, where, 1, f"expected {n} rows, found {len(body)}")
-    table: list[list[int | Fraction]] = []
     for lineno, raw, toks in body:
         if len(toks) != n:
             raise ParseError(source, lineno, _col(raw, n), f"expected {n} values, found {len(toks)}")
-        row = []
         for k, tok in enumerate(toks):
             try:
-                row.append(parse_rational(tok))
+                parse_rational(tok)
             except BadParams as exc:
                 raise ParseError(source, lineno, _col(raw, k), str(exc)) from None
-        table.append(row)
-    return table
 
 
 def load_metric_text(text: str, source: str = "<string>") -> MetricSpace:
-    rows, scale = _metric_table(text) or (_walk_metric(text, source), 1)
-    return validate_metric(rows, scale)
+    return validate_metric(*(_metric_table(text) or _walk_metric(text, source)))
 
 
 def metric_rows(S: MetricSpace) -> Iterator[str]:
@@ -279,10 +274,8 @@ def _edge_set(n: int, edges: Iterator[tuple[int, ...]]) -> tuple[frozenset[tuple
     return edges, len(edges)
 
 
-def _walk_edge_list(
-    text: str, source: str, arity: int, kind: str
-) -> tuple[int, frozenset[tuple[int, ...]]]:
-    """n and the edges line by line, raising the first error as a ParseError."""
+def _walk_edge_list(text: str, source: str, arity: int, kind: str) -> None:
+    """Read the edge list line by line, raising the first error as a ParseError."""
     rows = _rows(text)
     if not rows:
         raise ParseError(source, 1, 1, "empty input")
@@ -312,7 +305,6 @@ def _walk_edge_list(
         if vs in seen:
             raise ParseError(source, lineno, _col(raw, 0), f"duplicate {kind}: {' '.join(toks)}")
         seen.add(vs)
-    return n, frozenset(seen)
 
 
 def load_triples_text(text: str, source: str = "<string>") -> TripleSystem:
@@ -323,11 +315,7 @@ def load_triples_text(text: str, source: str = "<string>") -> TripleSystem:
         # each distinct edge sets one bit in the mask of each of its pairs
         return links, sum(map(int.bit_count, links.values())) // 3
 
-    parsed = _edge_list(text, 3, fold)
-    if parsed is None:
-        n, edges = _walk_edge_list(text, source, 3, "triple")
-        parsed = n, edge_links(n, edges)
-    return TripleSystem(*parsed)
+    return TripleSystem(*(_edge_list(text, 3, fold) or _walk_edge_list(text, source, 3, "triple")))
 
 
 def dump_triples(T: TripleSystem) -> str:

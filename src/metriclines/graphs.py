@@ -9,16 +9,10 @@ graph: adjacent means distance 1.  Lines in such a space reduce to bitmask
 formulas on adjacency rows, and the case analysis in distinct_line_case
 spells out when two generating pairs are forced to give different lines.
 
-Betweenness is decided exactly, with no floats, on integer tables: hop
-counts are integers already, and a space is stored as its integer table
-over a scale (see ``metric``), which feeds the same kernel,
-int_metric_line_masks.  Distance 1 and 2 are the entries scale and
-2 * scale; graph_to_space builds its table with scale 1.  That kernel packs
-each distance row into one int, a byte per vertex while the diameter is
-below 64 and wider fields past it, and tests a pair against every vertex in
-a few big-integer operations; distinct_line_case compares the two pairs'
-masks from it.  The 1-2 line masks are the XOR/AND formulas on adjacency
-rows.
+Betweenness is decided exactly, on integer tables, by metric's packed-row
+kernel int_metric_line_masks (see ``metric``); graph_to_space builds its
+table with scale 1.  The 1-2 line masks are the XOR/AND formulas on
+adjacency rows.
 """
 
 from __future__ import annotations

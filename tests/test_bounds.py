@@ -20,7 +20,15 @@ from metriclines.bounds import SANDWICH_BITS
 
 
 class TestIntegerRoots:
-    @given(st.integers(min_value=0, max_value=10**30), st.integers(1, 9))
+    # up to 10**30, and up to 2**400, past the radicands sandwich builds by
+    # shifting a base left by root * SANDWICH_BITS bits (210 for a 7th root)
+    @given(
+        st.one_of(
+            st.integers(min_value=0, max_value=10**30),
+            st.integers(min_value=0, max_value=2**400),
+        ),
+        st.integers(1, 9),
+    )
     def test_bracketing(self, a, k):
         r, exact = int_nthroot(a, k)
         assert r >= 0
@@ -37,6 +45,11 @@ class TestIntegerRoots:
     def test_rejects_bad_root(self):
         with pytest.raises(BadParams):
             int_nthroot(5, 0)
+
+    def test_rejects_negative_radicand(self):
+        with pytest.raises(BadParams) as info:
+            int_nthroot(-1, 2)
+        assert str(info.value) == "radicand must be nonnegative, got -1"
 
 
 class TestCompare:
@@ -162,6 +175,20 @@ class TestNamedBounds:
     def test_integer_parameter_messages(self, bound_id, params, message):
         with pytest.raises(BadParams) as info:
             power_bound(bound_id, params)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: PowerBound(Fraction(-1), 3), "base must be nonnegative"),
+            (lambda: PowerBound(Fraction(1), 0), "root must be positive, got 0"),
+            (lambda: power_bound("range", {"n": 5, "rho": "x"}), "rho must be rational, got 'x'"),
+        ],
+        ids=["negative_base", "zero_root", "irrational_rho"],
+    )
+    def test_value_checks(self, build, message):
+        with pytest.raises(BadParams) as info:
+            build()
         assert str(info.value) == message
 
     def test_integer_parameters_accept_integral_fractions(self):

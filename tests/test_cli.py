@@ -43,6 +43,8 @@ C4_MATRIX = "4\n0 1 2 1\n1 0 1 2\n2 1 0 1\n1 2 1 0\n"
 K34_TRIPLES = "4 4\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
 PATH_GRAPH = "4 3\n0 1\n1 2\n2 3\n"
 C5_GRAPH = "5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n"
+# a 2-point metric whose last row holds the byte 0xFF, which is not UTF-8
+NON_UTF8_METRIC = b"2\n0 1\n1 0\xff\n"
 
 
 @pytest.fixture
@@ -426,6 +428,27 @@ class TestErrorHandling:
         p.write_text("2\n0 1\n2 0\n")
         assert run_main("lines", str(p)) == 3
         capsys.readouterr()
+
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "latin.txt"
+        p.write_bytes(NON_UTF8_METRIC)
+        assert run_main("lines", str(p)) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {p}:3:3: not a rational: '0\\udcff'\n"
+
+    def test_non_utf8_stdin_is_input_error(self):
+        # through a Latin-1 text stream 0xFF would read as a letter; the CLI
+        # decodes stdin's bytes as UTF-8 whatever the locale
+        src = Path(metriclines.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="latin-1", LC_ALL="C")
+        proc = subprocess.run(
+            [sys.executable, "-m", "metriclines.cli", "lines", "-"],
+            input=NON_UTF8_METRIC,
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == b"error: -:3:3: not a rational: '0\\udcff'\n"
 
     def test_unknown_verb_is_usage(self, capsys):
         assert run_main("frobnicate") == 2

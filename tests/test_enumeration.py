@@ -181,6 +181,9 @@ class TestCanonicalForms:
                 )
                 assert canonical_triples_cols(4, edges) == base
 
+    def test_triples_below_three_points_have_no_columns(self):
+        assert canonical_triples_cols(2, frozenset()) == ()
+
     def test_round_trip_from_cols(self):
         for G in enum_graphs(4):
             cols = canonical_graph_cols(4, G.adj)

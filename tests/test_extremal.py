@@ -110,6 +110,22 @@ class TestConstructions:
         with pytest.raises(BadParams):
             construct("groups", Fraction(5, 2), 3)
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: group_space(1, 3), "need at least 2 groups, got 1"),
+            (lambda: group_space(3, 0), "group size must be positive, got 0"),
+            (lambda: balanced_group_count(0), "need at least one point, got 0"),
+            (lambda: path_graph(-1), "edge count must be nonnegative, got -1"),
+            (lambda: complete_graph(0), "need at least one vertex, got 0"),
+        ],
+        ids=["one_group", "empty_groups", "no_points", "negative_path", "empty_complete"],
+    )
+    def test_builder_checks(self, build, message):
+        with pytest.raises(BadParams) as info:
+            build()
+        assert str(info.value) == message
+
     def test_path_and_complete(self):
         P = path_graph(3)
         assert P.n == 4
@@ -196,6 +212,9 @@ class TestCheckBound:
             check_bound(pentagon(), "sparse_lemma")
         with pytest.raises(BadParams):
             check_bound(pentagon(), "calculus")
+        with pytest.raises(BadParams) as info:
+            check_bound(path_graph(3), "onetwo_lower")
+        assert str(info.value) == "onetwo_lower bound takes a metric space"
 
     def test_report_serialization(self, tmp_path, capsys):
         path = tmp_path / "pentagon.txt"

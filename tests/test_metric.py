@@ -35,6 +35,11 @@ class TestValidation:
         S = validate_metric([["0", "1/2"], ["1/2", "0"]])
         assert S.dist[0][1] == Fraction(1, 2)
 
+    def test_empty_table(self):
+        with pytest.raises(TooFewPoints) as info:
+            validate_metric([])
+        assert str(info.value) == "need at least 1 points, got 0"
+
     def test_ragged_rows(self):
         with pytest.raises(BadParams):
             validate_metric([[0, 1], [1, 0, 2]])
@@ -153,3 +158,9 @@ def test_extremes_reports_min_max_ratio():
     S = path_space(4)
     lo, hi, rho = extremes(S)
     assert (lo, hi, rho) == (1, 3, 3)
+
+
+def test_extremes_needs_a_pair():
+    with pytest.raises(TooFewPoints) as info:
+        extremes(path_space(1))
+    assert str(info.value) == "need at least 2 points, got 1"

@@ -15,7 +15,9 @@ from metriclines import (
     load_graph_text,
     load_triples_text,
     min_lines,
+    path_graph,
 )
+from metriclines import search
 from metriclines.search import _SPECS, UNIVERSES, triple_line_masks
 
 import helpers
@@ -154,6 +156,21 @@ class TestConjectureScan:
         searches = [min_lines("graph_metrics", n) for n in range(3, 8)]
         assert rep.minima == {s.n: s.minimum for s in searches}
         assert rep.instances_examined == sum(s.instances_examined for s in searches)
+
+    def test_violator_is_reported(self, monkeypatch):
+        # no connected graph on 8 or fewer vertices violates the conjecture,
+        # so each size yields a fake class with n - 1 lines, then an excluded one
+        fakes = {n: path_graph(n - 1) for n in (3, 4)}
+
+        def line_counts(universe, n, exclude_universal):
+            assert (universe, exclude_universal) == ("graph_metrics", True)
+            return iter([(fakes[n], n - 1), (fakes[n], None)])
+
+        monkeypatch.setattr(search, "_line_counts", line_counts)
+        rep = conjecture_scan(4)
+        assert rep.violators == (fakes[3], fakes[4])
+        assert rep.minima == {3: 2, 4: 3}
+        assert rep.instances_examined == 4
 
     def test_cap(self):
         with pytest.raises(SizeCap):

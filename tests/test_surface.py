@@ -106,6 +106,29 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_test_imports_are_declared():
+    """Every module the tests and the benchmark import, at any depth, is the
+    standard library's, the package, a module of tests/ or bench/, or in the
+    test extra of pyproject.toml."""
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10 has no tomllib
+        tomllib = pytest.importorskip("tomli")
+    with (ROOT / "pyproject.toml").open("rb") as f:
+        extra = tomllib.load(f)["project"]["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", req)[0].lower().replace("-", "_") for req in extra}
+    files = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    local = {"metriclines"} | {path.stem for path in files}
+    imported = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert imported - sys.stdlib_module_names - local - declared == set()
+
+
 # recorded before the value classes moved onto Record; TripleSystem's since it holds links
 REPRS = (
     (

@@ -8,6 +8,7 @@ import pytest
 from metriclines import (
     BadParams,
     DegeneratePair,
+    TooFewPoints,
     XInsideT,
     betweenness_triples,
     complete_quadruple,
@@ -18,6 +19,7 @@ from metriclines import (
     k34_condition,
     line_family,
     triple_system,
+    uniform_space,
     vertex_signatures,
 )
 from metriclines.extremal import balanced_group_space, group_space, path_graph, pentagon
@@ -72,6 +74,11 @@ class TestBetweennessTriples:
         for seed in range(8):
             S = random_rational_space(random.Random(seed), 5)
             assert set(betweenness_triples(S).sorted_edges()) == oracle_triples(S.dist)
+
+    def test_needs_three_points(self):
+        with pytest.raises(TooFewPoints) as info:
+            betweenness_triples(uniform_space(2, 1))
+        assert str(info.value) == "need at least 3 points, got 2"
 
     def test_uniform_space_has_no_triples(self):
         S = random_int_space(random.Random(0), 4, lo=3, hi=3)
