@@ -6,7 +6,7 @@ plain values; this module alone knows the output format and reads the
 clock.  Each verb builds one document from its record and prints it as TSV
 by default (metadata lines start with '#') or as a single canonical JSON
 document under --format json.  _emit writes either in pieces, a few
-hundred list elements or rows at a time, so the whole text is never held
+hundred list scalars or rows at a time, so the whole text is never held
 as one string.  One writer, _write_rows, slices every text of rows: _emit's
 TSV, construct's instance and scan's violator files.  Under --timing,
 search and scan add elapsed_ms, the wall time of the library call as
@@ -76,7 +76,7 @@ def _lib(name: str):
 
 CHECKABLE_BOUNDS = ("range", "diam", "graphs_corollary", "onetwo_lower")
 _METRIC_BOUNDS = ("range", "onetwo_lower")
-# elements of a list in a JSON document, or rows of TSV, encoded per write
+# scalars of a list in a JSON document, or rows of TSV, encoded per write
 _SLICE = 512
 
 
@@ -120,10 +120,13 @@ def _emit(args, doc: dict, tsv) -> None:
     """Print a verb's document: canonical JSON, or the TSV rows tsv(doc) gives.
 
     The text goes out in pieces and is never held whole.  JSON is written
-    key by key in sorted order, and a list, tuple or iterator value _SLICE
-    elements at a time, as an array; the bytes are those of
-    _canonical_json(doc), with each iterator read as a list, and a newline.
-    TSV rows go out through _write_rows.
+    key by key in sorted order, and a list, tuple or iterator value as an
+    array, in runs of whole elements that end once they hold _SLICE
+    scalars: a nonempty list or tuple element counts as its length, any
+    other as one.  The encoder keeps a string per scalar of a run, so a run
+    of long lines costs about what a run of triples does.  The bytes are
+    those of _canonical_json(doc), with each iterator read as a list, and a
+    newline.  TSV rows go out through _write_rows.
     """
     write = sys.stdout.write
     if args.format == "json":
@@ -132,12 +135,20 @@ def _emit(args, doc: dict, tsv) -> None:
             write(("," if k else "") + _canonical_json(key) + ":")
             value = doc[key]
             if isinstance(value, (list, tuple, Iterator)):
-                items = iter(value)
                 write("[")
                 sep = ""
-                while chunk := list(islice(items, _SLICE)):
+                chunk = []
+                size = 0
+                for item in value:
+                    chunk.append(item)
+                    size += (len(item) or 1) if isinstance(item, (list, tuple)) else 1
+                    if size >= _SLICE:
+                        write(sep + _canonical_json(chunk)[1:-1])
+                        sep = ","
+                        chunk = []
+                        size = 0
+                if chunk:
                     write(sep + _canonical_json(chunk)[1:-1])
-                    sep = ","
                 write("]")
             else:
                 write(_canonical_json(value))

@@ -22,6 +22,7 @@ from .metric import (
     int_metric_line_masks,
     line_family,
     line_of,
+    sort_distinct,
     uniform_space,
 )
 from .triples import TripleSystem, hyper_line
@@ -188,8 +189,8 @@ def check_bound(instance: Instance, bound_id: str) -> BoundReport:
         if not is_connected(instance):
             raise PreconditionUnmet(f"{bound_id} bound needs a connected graph")
         rows = graph_dist_rows(instance)
-        masks = set(int_metric_line_masks(instance.n, rows))
-        if (1 << instance.n) - 1 in masks:
+        masks = sort_distinct(int_metric_line_masks(instance.n, rows))
+        if masks[-1] == (1 << instance.n) - 1:
             raise PreconditionUnmet(
                 f"{bound_id} bound excludes spaces with a universal line"
             )

@@ -65,8 +65,11 @@ UNIVERSES = ("hypergraphs", "one_two", "graph_metrics")
 # default cap on the edges metrizable will branch on (3**edges assignments)
 DEFAULT_EDGE_CAP = 12
 
-# characters of input a loader splits into tokens at a time
-_BLOCK = 8 << 10
+# characters of input a loader splits into tokens at a time; a piece's
+# tokens and their partitions take about 40 bytes a character of a p/q
+# table, and loading the 80-point rational table of the benchmark raised
+# peak RSS by 460 KB with pieces of 8 K characters and by 80 KB with 2 K
+_BLOCK = 2 << 10
 # patterns of the walk and of parse_rational, compiled on first use
 _RATIONAL = r"^[+-]?\d+(?:/\d+)?$"
 _INT = r"[+-]?\d+"

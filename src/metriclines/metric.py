@@ -5,7 +5,9 @@ table over their least common denominator, so betweenness,
 d(a,b) + d(b,c) == d(a,c), is decided exactly, with no floats, on ints.
 Fractions appear only where rationals enter (validate_metric) and leave
 (dist, extremes).  int_metric_line_masks turns the table into one line
-bitmask per pair, and family_from_masks keeps the distinct ones.
+bitmask per pair; sort_distinct cuts that list to its distinct masks in
+place, and family_from_masks reads their points off over one shared tuple
+of the n point ints.
 
 Packed rows.  The kernel and the triangle pass of validate_metric work on
 each row of the integer table packed into one Python int: entry w sits in a
@@ -28,7 +30,7 @@ which pairs generated it is not kept.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, combinations, compress, count
+from itertools import chain, combinations, compress
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -38,6 +40,7 @@ from .errors import (
     NonpositiveDistance,
     NonzeroDiagonal,
     Record,
+    SizeCap,
     TooFewPoints,
     TriangleViolation,
     check_pair,
@@ -46,6 +49,11 @@ from .errors import (
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+# the most points validate_metric runs its O(n^3) triangle pass on: over the
+# line metric |i - j| the whole validation took 0.20 s at n = 500, 1.25 s at
+# 1,000, 3.8 s at 1,500 and 8.9-10.0 s at 2,000 (CPython 3.11, one Xeon core)
+MAX_TRIANGLE_N = 2000
 
 
 class MetricSpace(Record):
@@ -120,7 +128,8 @@ def validate_metric(rows: Sequence[Sequence[Fraction | int | str]], scale: int =
     diagonal/positivity/symmetry swept row by row, then triangle
     inequalities over pairs i < j (lexicographic) with the intermediate
     point k ascending.  The triangle pass is skipped when no distance is
-    more than twice another, which holds every inequality.
+    more than twice another, which holds every inequality; a table that
+    needs it on more than MAX_TRIANGLE_N points raises SizeCap instead.
     """
     if scale < 1:
         raise BadParams(f"scale must be a positive integer, got {scale}")
@@ -167,6 +176,11 @@ def validate_metric(rows: Sequence[Sequence[Fraction | int | str]], scale: int =
     # d(i,j) <= 2*lo <= d(i,k) + d(k,j) for every k, so no triangle fails
     if n < 3 or max(map(max, D)) <= 2 * min(min(row[i + 1 :]) for i, row in enumerate(D[:-1])):
         return S
+    if n > MAX_TRIANGLE_N:
+        raise SizeCap(
+            f"the triangle check of a table with a distance above twice another "
+            f"is capped at n <= {MAX_TRIANGLE_N}, got {n}"
+        )
     # k = i and k = j give d(i,j) itself, so a top bit is lost exactly when
     # some other k violates the inequality
     size, packed = S.packed
@@ -271,26 +285,58 @@ def pair_line_masks(S: MetricSpace, pairs: Iterable[tuple[int, int]]) -> list[in
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def mask_points(mask: int) -> tuple[int, ...]:
-    """The set bits of mask, ascending.
+def mask_points(mask: int, points: Sequence[int] | None = None) -> tuple[int, ...]:
+    """The set bits of mask, ascending, as the entries of points they index.
 
-    A mask with at least one set bit in eight is read off its binary
-    digits, lowest first, by compress, which costs about 25 ns a digit; a
-    sparser one one set bit at a time, which costs about 250 ns a bit.
+    points defaults to range(mask.bit_length()), the bit positions
+    themselves; a caller reading many masks passes one tuple(range(n)) so
+    that every tuple holds the same n point ints.  A mask with at least
+    one set bit in eight is read off its binary digits, lowest first, by
+    compress, which costs about 25 ns a digit; a sparser one one set bit at
+    a time, which costs about 250 ns a bit.
     """
+    if points is None:
+        points = range(mask.bit_length())
     if mask.bit_count() * 8 >= mask.bit_length():
-        return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BITS)))
+        return tuple(compress(points, bin(mask)[:1:-1].encode().translate(_BITS)))
     pts = []
     while mask:
         low = mask & -mask
-        pts.append(low.bit_length() - 1)
+        pts.append(points[low.bit_length() - 1])
         mask ^= low
     return tuple(pts)
 
 
-def family_from_masks(n: int, masks: Sequence[int]) -> LineFamily:
-    """The distinct lines among per-pair line masks, one mask per pair."""
-    return LineFamily(n, tuple(sorted(map(mask_points, set(masks)))), len(masks))
+def sort_distinct(masks: list[int]) -> list[int]:
+    """Sort masks, nonnegative ints, in place, drop repeats in place, and
+    return masks.
+
+    No second list or set is built, so the distinct masks are held once;
+    the largest, the universal mask when present, ends up last.
+    """
+    masks.sort()
+    k = 0
+    last = -1
+    for mask in masks:
+        # k never passes the read position, so no unread entry is overwritten
+        if mask != last:
+            masks[k] = last = mask
+            k += 1
+    del masks[k:]
+    return masks
+
+
+def family_from_masks(n: int, masks: list[int]) -> LineFamily:
+    """The distinct lines among per-pair line masks, one mask per pair.
+
+    masks is sorted and cut to its distinct entries in place, and every
+    line's tuple holds the same n point ints.
+    """
+    pair_count = len(masks)
+    points = tuple(range(n))
+    lines = [mask_points(mask, points) for mask in sort_distinct(masks)]
+    lines.sort()
+    return LineFamily(n, tuple(lines), pair_count)
 
 
 def line_of(S: MetricSpace, u: int, v: int) -> frozenset[int]:

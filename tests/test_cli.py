@@ -489,11 +489,11 @@ TOP_LISTS = st.lists(VALUES, max_size=2 * SLICE + 2)
 DOCS = st.dictionaries(st.text(), st.one_of(VALUES, TOP_LISTS, TOP_LISTS.map(tuple)), max_size=4)
 
 
-def emitted(fmt: str, doc: dict, tsv=None) -> str:
-    """What _emit prints for doc, with lists and rows written SLICE at a time."""
+def emitted(fmt: str, doc: dict, tsv=None, size: int = SLICE) -> str:
+    """What _emit prints for doc, with lists and rows written size at a time."""
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(cli, "_SLICE", SLICE)
+        mp.setattr(cli, "_SLICE", size)
         cli._emit(argparse.Namespace(format=fmt), doc, tsv)
     return out.getvalue()
 
@@ -520,6 +520,18 @@ class TestEmit:
         doc = {"z": None, "triples": triples, "lines": list(triples), "ok": True, "name": "\u00e9"}
         assert emitted("json", doc) == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
+    @pytest.mark.parametrize("size", [SLICE, cli._SLICE])
+    @pytest.mark.parametrize("line", [tuple, list])
+    @pytest.mark.parametrize("family", [tuple, list, iter])
+    def test_lines_around_a_slice_of_points(self, size, line, family):
+        for length in (0, 1, size - 1, size, size + 1, 2 * size):
+            # runs end on, before and after lines of that many points
+            lines = [line(range(k, k + length)) for k in range(3)]
+            lines += [line([7]), line(range(length)), line([]), line([1, 2])]
+            doc = {"count": len(lines), "lines": lines, "universal": False}
+            expected = cli._canonical_json(doc) + "\n"
+            assert emitted("json", {**doc, "lines": family(lines)}, size=size) == expected
+
     @settings(max_examples=100, deadline=None)
     @given(st.dictionaries(st.text(), TOP_LISTS, max_size=4))
     def test_iterators_are_written_as_arrays(self, doc):
@@ -545,6 +557,21 @@ class TestEmit:
             finally:
                 tracemalloc.stop()
         assert peak < 1_000_000, peak
+
+    def test_peak_memory_of_long_lines(self, monkeypatch):
+        """300 lines of 80 points go out within 250 KB of traced
+        allocations; writing 512 lines at a time took 1.75 MB."""
+        lines = tuple(tuple(range(700 + i, 780 + i)) for i in range(300))
+        doc = {"count": len(lines), "universal": False, "lines": lines}
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                cli._emit(argparse.Namespace(format="json"), doc, None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 250_000, peak
 
 
 def test_construct_writes_in_pieces(tmp_path, monkeypatch):

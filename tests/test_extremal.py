@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -24,6 +25,7 @@ from metriclines import (
     dump_metric,
     equal_line_class,
     extremes,
+    graph_from_edges,
     graph_metric,
     group_space,
     line_family,
@@ -34,6 +36,8 @@ from metriclines import (
     uniform_space,
 )
 from metriclines.extremal import balanced_group_count
+from metriclines.graphs import graph_dist_rows
+from metriclines.metric import int_metric_line_masks
 
 import helpers
 
@@ -223,6 +227,26 @@ class TestCheckBound:
         assert d["pass"] is True
         assert d["lines_found"] == 10
         assert isinstance(d["bound_lo"], str)
+
+    @pytest.mark.parametrize("bound_id", ["diam", "graphs_corollary"])
+    def test_graph_count_is_the_distinct_masks(self, bound_id):
+        rng = random.Random(29)
+        counted = raised = 0
+        for _ in range(120):
+            n = rng.randint(2, 14)
+            # a random spanning tree, then extra edges: always connected
+            edges = [(v, rng.randrange(v)) for v in range(1, n)]
+            edges += [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.3]
+            G = graph_from_edges(n, edges)
+            masks = set(int_metric_line_masks(n, graph_dist_rows(G)))
+            if (1 << n) - 1 in masks:
+                with pytest.raises(PreconditionUnmet, match="universal line"):
+                    check_bound(G, bound_id)
+                raised += 1
+            else:
+                assert check_bound(G, bound_id).lines_found == len(masks)
+                counted += 1
+        assert counted > 20 and raised > 20
 
     def test_diam_sandwich_is_exact(self):
         lo, hi = power_bound("diam", {"t": 8}).sandwich()

@@ -41,7 +41,13 @@ from metriclines import (
     validate_metric,
 )
 from metriclines.graphs import graph_dist_rows
-from metriclines.metric import _packed_rows, int_metric_line_masks, mask_points
+from metriclines.metric import (
+    _packed_rows,
+    family_from_masks,
+    int_metric_line_masks,
+    mask_points,
+    sort_distinct,
+)
 from helpers import (
     floyd_closure,
     labeled_graph_rows,
@@ -300,6 +306,38 @@ def test_mask_points_matches_the_bit_loop():
         sparse = dense & rng.getrandbits(1000) & rng.getrandbits(1000) & rng.getrandbits(1000)
         for mask in (dense, sparse, dense | 1 << 999, sparse | 1 << 999):
             assert mask_points(mask) == bit_loop_points(mask)
+
+
+@st.composite
+def mask_lists(draw):
+    """Masks on n points with repeats, and the universal mask drawn in too."""
+    n = draw(st.integers(1, 70))
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    pool.append((1 << n) - 1)
+    return draw(st.lists(st.sampled_from(pool), max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_lists())
+def test_sort_distinct_is_sorted_set_in_place(masks):
+    expected = sorted(set(masks))
+    assert sort_distinct(masks) is masks
+    assert masks == expected
+
+
+def test_family_lines_share_point_ints():
+    # CPython caches no int above 256, so reading each mask off its own
+    # range made its own point ints; both ways of reading a mask are drawn
+    n = 600
+    rng = random.Random(600)
+    dense = [rng.getrandbits(n) | 1 << 599 | 1 << 500 for _ in range(4)]
+    sparse = [1 << 500 | 1 << 599 | 1 << rng.randrange(n) for _ in range(4)]
+    family = family_from_masks(n, dense + sparse)
+    first: dict[int, int] = {}
+    for line in family.lines:
+        for p in line:
+            assert first.setdefault(p, id(p)) == id(p), p
+    assert {500, 599} <= first.keys()
 
 
 class TestOneTwoCheck:

@@ -10,17 +10,23 @@ from hypothesis import strategies as st
 from metriclines import (
     AsymmetryError,
     BadParams,
+    MetricSpace,
     NonpositiveDistance,
     NonzeroDiagonal,
+    SizeCap,
     TooFewPoints,
     TriangleViolation,
+    balanced_group_space,
     between,
+    dump_metric,
     extremes,
     line_family,
     line_of,
     uniform_space,
     validate_metric,
 )
+from metriclines import metric
+from metriclines.cli import main
 from helpers import oracle_line_sets, random_int_space, random_rational_space
 
 
@@ -78,6 +84,50 @@ class TestValidation:
                 for j in range(i + 1, n):
                     rows[i][j] = rows[j][i] = rng.choice([1, 2])
             validate_metric(rows)  # 1 + 1 >= 2, never a violation
+
+
+PATH5 = [[abs(i - j) for j in range(5)] for i in range(5)]
+
+
+class TestTriangleCap:
+    """Above MAX_TRIANGLE_N points, a table that needs the O(n^3) triangle
+    pass raises SizeCap before it; the cap is lowered to 4 here."""
+
+    @pytest.fixture(autouse=True)
+    def low_cap(self, monkeypatch):
+        monkeypatch.setattr(metric, "MAX_TRIANGLE_N", 4)
+
+    def test_path_metric_above_the_cap(self):
+        assert path_space(4).n == 4
+        with pytest.raises(SizeCap) as info:
+            path_space(5)
+        assert str(info.value) == (
+            "the triangle check of a table with a distance above twice another "
+            "is capped at n <= 4, got 5"
+        )
+
+    def test_tables_that_skip_the_pass_are_uncapped(self):
+        assert uniform_space(9).n == 9
+        # the builder skips validate_metric, so its table goes through it here
+        assert validate_metric(balanced_group_space(12).scaled).n == 12
+        # 3 against 2: no 1-2 table, but no distance above twice another
+        rows = [[0 if i == j else 2 + (i + j) % 2 for j in range(6)] for i in range(6)]
+        assert validate_metric(rows).n == 6
+
+    def test_cap_comes_before_the_pass_and_after_the_sweeps(self):
+        rows = [list(row) for row in PATH5]
+        rows[0][4] = rows[4][0] = 9  # a violated triangle, never reached
+        with pytest.raises(SizeCap):
+            validate_metric(rows)
+        rows[0][4] = 7
+        with pytest.raises(AsymmetryError):
+            validate_metric(rows)
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "path5.txt"
+        path.write_text(dump_metric(MetricSpace(5, tuple(map(tuple, PATH5)))))
+        assert main(["lines", str(path)]) == 2
+        assert "capped at n <= 4, got 5" in capsys.readouterr().err
 
 
 class TestBetweenness:
