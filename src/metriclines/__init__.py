@@ -25,40 +25,32 @@ _EXPORTS = {
         ("enumeration", "MAX_GRAPH_N MAX_TRIPLES_N enum_graphs enum_triple_systems"),
         (
             "errors",
-            "ArityMismatch AsymmetryError BadParams DegeneratePair DisconnectedGraph "
-            "IndexOutOfRange MetricLinesError NonpositiveDistance NonzeroDiagonal "
-            "NotOneTwoSpace ParseError PreconditionUnmet SizeCap SolverFailure "
-            "TooFewPoints TooManyAssignments TriangleViolation XInsideT",
+            "AsymmetryError BadParams DegeneratePair DisconnectedGraph IndexOutOfRange "
+            "MetricLinesError NonpositiveDistance NonzeroDiagonal ParseError "
+            "PreconditionUnmet SizeCap SolverFailure TooFewPoints TooManyAssignments "
+            "TriangleViolation",
         ),
         (
             "extremal",
-            "BoundReport balanced_group_space bucket_decomposition calculus_check "
-            "check_bound complete_graph construct equal_line_class group_space "
-            "path_graph pentagon predicted_group_lines",
+            "balanced_group_space check_bound complete_graph construct group_space "
+            "path_graph pentagon",
         ),
         ("feasibility", "FeasibilityResult metrizable"),
         (
             "fileio",
-            "CONSTRUCT_KINDS UNIVERSES dump_graph dump_metric dump_triples "
-            "format_rational load_graph_text load_metric_text load_triples_text "
-            "parse_rational",
+            "dump_graph dump_metric dump_triples format_rational load_graph_text "
+            "load_metric_text load_triples_text parse_rational",
         ),
-        (
-            "graphs",
-            "Graph adjacency_from_rows are_twins diameter distinct_line_case find_twins "
-            "geodesic_path graph_from_edges graph_metric graph_to_space is_connected "
-            "max_clique_size maximal_twin_free space_to_graph",
-        ),
+        ("graphs", "Graph diameter graph_from_edges graph_to_space is_connected"),
         (
             "metric",
-            "LineFamily MetricSpace between extremes line_family line_of uniform_space "
-            "validate_metric",
+            "MetricSpace between extremes line_family line_of uniform_space validate_metric",
         ),
-        ("search", "ScanReport SearchReport conjecture_scan min_lines"),
+        ("search", "conjecture_scan min_lines"),
         (
             "triples",
             "TripleSystem betweenness_triples complete_quadruple fano hyper_line "
-            "hyper_line_family k34_condition triple_system vertex_signatures",
+            "hyper_line_family triple_system",
         ),
     )
     for name in names.split()

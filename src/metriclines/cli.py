@@ -375,7 +375,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrizable", help="decide if a triple system has a metric")
     p.add_argument("file", help="triples file, or - for stdin")
     p.add_argument("--cap", default="1", help="distance normalization cap (rational)")
-    p.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP, help="assignment budget cap")
+    p.add_argument(
+        "--max-edges", type=int, default=DEFAULT_EDGE_CAP, help="most edges to branch on (3**edges leaves)"
+    )
     p.set_defaults(func=_cmd_metrizable)
 
     return parser

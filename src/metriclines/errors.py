@@ -106,24 +106,6 @@ class TooFewPoints(MetricLinesError):
         super().__init__(f"need at least {need} points, got {n}")
 
 
-class XInsideT(MetricLinesError):
-    def __init__(self, x: int):
-        self.x = x
-        super().__init__(f"point {x} must lie outside the given triple")
-
-
-class ArityMismatch(MetricLinesError):
-    def __init__(self, case: str, expected: int, got: int):
-        self.case, self.expected, self.got = case, expected, got
-        super().__init__(f"case {case} takes {expected} points, got {got}")
-
-
-class NotOneTwoSpace(MetricLinesError):
-    def __init__(self, i: int, j: int):
-        self.i, self.j = i, j
-        super().__init__(f"d({i},{j}) is neither 1 nor 2")
-
-
 class DisconnectedGraph(MetricLinesError):
     def __init__(self, u: int, v: int):
         self.u, self.v = u, v

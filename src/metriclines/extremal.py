@@ -1,8 +1,8 @@
-"""Named constructions, bound evaluation, and checkers built on them.
+"""Named constructions, and the bound check built on them.
 
 The constructions are the 5-point pentagon space, group spaces (distance 2
 inside a group, 1 across), and the standard controls path/uniform/complete.
-Checkers compare exact line counts against the bound formulas from
+check_bound compares exact line counts against the bound formulas from
 ``bounds`` using rational sandwiches, so a pass or fail is never a float
 artifact.
 """
@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .bounds import Rational, power_bound
-from .errors import BadParams, PreconditionUnmet, Record, TooFewPoints, XInsideT, check_points
+from .errors import BadParams, PreconditionUnmet, Record
 from .fileio import CONSTRUCT_KINDS
 from .graphs import Graph, graph_dist_rows, graph_from_edges, is_connected
 from .metric import (
@@ -21,11 +21,9 @@ from .metric import (
     extremes,
     int_metric_line_masks,
     line_family,
-    line_of,
     sort_distinct,
     uniform_space,
 )
-from .triples import TripleSystem, hyper_line
 
 Instance = Union[MetricSpace, Graph]
 
@@ -154,20 +152,6 @@ def construct(kind: str, *params: Rational) -> Instance:
     return complete_graph(as_int(params[0], "n"))
 
 
-def predicted_group_lines(k: int, m: int) -> int:
-    """Distinct-line count of group_space(k, m): k*m*(m-1)/2 + k*(k-1)/2.
-
-    Valid once every group has at least three points and there are at
-    least three groups; smaller parameters break the counting argument
-    (two groups make the cross line universal).
-    """
-    if k < 3:
-        raise BadParams(f"need at least 3 groups, got {k}")
-    if m < 3:
-        raise BadParams(f"need group size at least 3, got {m}")
-    return k * m * (m - 1) // 2 + k * (k - 1) // 2
-
-
 def check_bound(instance: Instance, bound_id: str) -> BoundReport:
     """Count the instance's lines and compare against a named bound.
 
@@ -219,70 +203,3 @@ def check_bound(instance: Instance, bound_id: str) -> BoundReport:
         bound_hi=hi,
         passed=pb.compare(count) <= 0,
     )
-
-
-def bucket_decomposition(space: MetricSpace, x: int) -> tuple[frozenset[int], int]:
-    """Largest bucket of points u != x with i*delta <= d(x,u) < (i+1)*delta.
-
-    delta is the smallest distance of the whole space, so the bucket
-    indices run from 1 to floor(rho) and the winner has at least
-    (n-1)/floor(rho) members.  Ties go to the lowest index.
-    """
-    if space.n < 2:
-        raise TooFewPoints(space.n, 2)
-    check_points(space.n, x)
-    D = space.scaled
-    delta = min(min(row[i + 1 :]) for i, row in enumerate(D[:-1]))
-    buckets: dict[int, list[int]] = {}
-    for u in range(space.n):
-        if u == x:
-            continue
-        i = D[x][u] // delta
-        buckets.setdefault(i, []).append(u)
-    best_i = min(buckets, key=lambda i: (-len(buckets[i]), i))
-    return frozenset(buckets[best_i]), best_i
-
-
-def equal_line_class(
-    family_source: Union[MetricSpace, TripleSystem],
-    x: int,
-    tset: frozenset[int] | set[int],
-) -> frozenset[int]:
-    """Largest subset of tset whose lines through x share one point set.
-
-    Ties are broken toward the lexicographically smallest member set.
-    """
-    if isinstance(family_source, MetricSpace):
-        line = line_of
-    elif isinstance(family_source, TripleSystem):
-        line = hyper_line
-    else:
-        raise BadParams("family source must be a metric space or triple system")
-    n = family_source.n
-    check_points(n, x)
-    if x in tset:
-        raise XInsideT(x)
-    members = sorted(tset)
-    check_points(n, *members)
-    classes: dict[frozenset[int], list[int]] = {}
-    for v in members:
-        classes.setdefault(line(family_source, x, v), []).append(v)
-    if not classes:
-        return frozenset()
-    best = min(classes.values(), key=lambda members: (-len(members), members))
-    return frozenset(best)
-
-
-def calculus_check(x: Rational, y: Rational) -> bool:
-    """Whether (1/2)*(x**2/(2y+x))**2 + y >= beta*x**(4/3) - x/2.
-
-    beta = 3 * 2**(-5/3); the comparison is exact via cubing.
-    """
-    x = Fraction(x)
-    y = Fraction(y)
-    if x < 3:
-        raise BadParams(f"x must be at least 3, got {x}")
-    if y < 0:
-        raise BadParams(f"y must be nonnegative, got {y}")
-    lhs = Fraction(1, 2) * (x * x / (2 * y + x)) ** 2 + y
-    return power_bound("calculus", {"x": x}).compare(lhs) <= 0

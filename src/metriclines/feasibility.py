@@ -10,29 +10,35 @@ bought with a shared margin variable that gets maximized; the assignment
 is feasible exactly when the optimal margin is positive.
 
 Every triple has three rows, one per middle vertex, built once per system.
-Branches are scanned serially, in the base-3 counter order over the sorted
-edge list: edge k is digit k (edge 0 the least significant), and digit d
-picks the row of the edge's d-th smallest vertex as its equality.  All
-branches share the non-edges' strict rows, so a branch is handed to the
-LP as its equality rows alone.  The first feasible branch supplies the
-witness.
+A branch gives edge k of the sorted edge list a digit d, which picks the
+row of the edge's d-th smallest vertex as its equality, and its counter
+index is the base-3 number with edge 0 the least significant digit.  The
+branches are searched depth first: edge m-1 first, each edge's digits 0, 1
+and 2 in turn, so the leaves arrive in counter order and the first
+feasible leaf supplies the witness.  All branches share the non-edges'
+strict rows, so a leaf is handed to the LP as its equality rows alone.
 
 An automorphism of the triple system maps each branch to a branch whose
 problem is the same up to relabelling the points, so both have the same
-optimal margin.  The scan reaches a branch only once every smaller branch
-is infeasible, so it skips a branch that some automorphism found maps to
-a smaller one: that image is infeasible, and so is the branch.  Nothing is
-remembered between branches.  A skipped branch is infeasible, so the first
-feasible branch is always decided, and the verdict, assignments_tried,
-witness and best_margin are those of a scan that decides every branch.
-The argument holds for any set of automorphisms, so the search for them
-stops after _AUTOMORPHISM_CAP; with the whole group, exactly the least
-branch of each orbit is decided.
+optimal margin.  The search reaches a leaf only once every smaller leaf is
+infeasible, so it skips a leaf that some automorphism found maps to a
+smaller one: that image is infeasible, and so is the leaf.  The prefix
+orbit test cuts a whole subtree when the digits it fixes already map below
+themselves, as then every leaf under it has a smaller image.  The sink cut
+drops a subtree whose equalities force a pair, or the slack of a
+non-edge's strict row, to zero: every leaf under it has margin 0 before
+its LP.  Nothing is remembered between nodes.  A cut leaf is infeasible,
+so the first feasible leaf is always decided, and the verdict,
+assignments_tried, witness, best_margin and LPs solved are those of a
+counter scan that skips by orbit alone, where a sunk leaf gets no LP
+either.  The orbit argument holds for any set of automorphisms, so the
+search for them stops after _AUTOMORPHISM_CAP; with the whole group,
+exactly the least branch of each orbit is decided.
 
-A branch that is not skipped is decided exactly.  It is eliminated down to
-its free coordinates by fraction-free Gauss-Jordan elimination, which
-writes every pair distance as an integer combination of the free ones
-over one common denominator, and is handed to the integer-pivoting solver.
+A leaf that is not cut is decided exactly.  It is eliminated down to its
+free coordinates by fraction-free Gauss-Jordan elimination, which writes
+every pair distance as an integer combination of the free ones over one
+common denominator, and is handed to the integer-pivoting solver.
 """
 
 from __future__ import annotations
@@ -145,14 +151,17 @@ def _eliminate(
     return free, exprs, scale
 
 
-def _decide_branch(
-    npairs: int, cap: Fraction, triangles: list[_Triple], equalities: list[_Triple]
-) -> tuple[Fraction, list[Fraction]] | None:
-    """Optimal margin and distances of one branch; None when the margin is not positive.
+def _reduce(
+    npairs: int, triangles: list[_Triple], equalities: list[_Triple]
+) -> tuple[list[list[int]], list[list[int]], int] | None:
+    """The pairs and the strict rows' slacks over the free pairs; None when one is zero.
 
-    equalities holds the branch's rows d_i1 + d_i2 = d_i3, one per edge it
-    fixes, and triangles the strict rows d_i1 + d_i2 > d_i3 of every
-    non-edge triple; both index the pairs of combinations(range(n), 2).
+    equalities holds rows d_i1 + d_i2 = d_i3 and triangles the strict rows
+    d_i1 + d_i2 > d_i3, both over the pairs of combinations(range(n), 2).
+    Pair p is exprs[p] . x / scale and row r has slack slacks[r] . x / scale
+    over the free pairs x.  A pair or a slack that is identically zero holds
+    the margin at 0, and stays zero under any further equalities, so None
+    sinks every branch whose equalities include these.
     """
     eq_rows = []
     for i1, i2, i3 in equalities:
@@ -160,8 +169,30 @@ def _decide_branch(
         row[i1] = row[i2] = 1
         row[i3] = -1
         eq_rows.append(row)
-    free, exprs, scale = _eliminate(npairs, eq_rows)
-    k = len(free)
+    _, exprs, scale = _eliminate(npairs, eq_rows)
+    slacks = [
+        [x + y - w for x, y, w in zip(exprs[i1], exprs[i2], exprs[i3])]
+        for i1, i2, i3 in triangles
+    ]
+    if all(map(any, exprs)) and all(map(any, slacks)):
+        return exprs, slacks, scale
+    return None
+
+
+def _decide_branch(
+    npairs: int, cap: Fraction, triangles: list[_Triple], equalities: list[_Triple]
+) -> tuple[Fraction, list[Fraction]] | None:
+    """Optimal margin and distances of one branch; None when the margin is not positive.
+
+    equalities holds the branch's rows d_i1 + d_i2 = d_i3, one per edge it
+    fixes, and triangles the strict rows d_i1 + d_i2 > d_i3 of every
+    non-edge triple; a branch that _reduce sinks gets no LP.
+    """
+    reduced = _reduce(npairs, triangles, equalities)
+    if reduced is None:
+        return None
+    exprs, slacks, scale = reduced
+    k = len(exprs[0])
 
     # substitute z_f = x_f - margin:  x_p = sum_f C_pf z_f + S_p * margin
     # with S_p = sum_f C_pf, so z >= 0 absorbs the free positivity rows
@@ -178,23 +209,11 @@ def _decide_branch(
             M.append(vec)
             b.append(rhs)
 
-    def margin_row(expr: list[int], s: int) -> bool:
-        """Require expr + s*margin >= margin.  False when that sinks the branch."""
-        ecoef = scale - s
-        if not any(expr):
-            return ecoef <= 0  # constant slack: either trivial or margin <= 0
-        if ecoef <= 0 and all(v >= 0 for v in expr):
-            return True  # nonnegative left side, nothing to enforce
-        add([-v for v in expr] + [ecoef], 0)
-        return True
-
-    for p in range(npairs):
-        if not margin_row(exprs[p], sums[p]):
-            return None
-    for i1, i2, i3 in triangles:
-        expr = [x + y - w for x, y, w in zip(exprs[i1], exprs[i2], exprs[i3])]
-        if not margin_row(expr, sums[i1] + sums[i2] - sums[i3]):
-            return None
+    # require expr + sum(expr)*margin >= margin of every pair and slack
+    for expr in (*exprs, *slacks):
+        ecoef = scale - sum(expr)
+        if ecoef > 0 or any(v < 0 for v in expr):
+            add([-v for v in expr] + [ecoef], 0)
     cp, cq = cap.numerator, cap.denominator
     for expr, s in zip(exprs, sums):
         if s <= 0 and not any(v > 0 for v in expr):
@@ -298,11 +317,19 @@ def _digit_tables(
 
 
 def _has_smaller_image(
-    tables: list[list[tuple[int, int, tuple[int, ...]]]], digits: list[int]
+    tables: list[list[tuple[int, int, tuple[int, ...]]]], digits: list[int], lo: int
 ) -> bool:
-    """Does some automorphism map the branch with these digits below itself?"""
+    """Does some automorphism map every branch with these digits lo.. below itself?
+
+    Each walk runs from the most significant digit and stops, undecided, at
+    the first row whose digit j or source digit k is below lo, as branches
+    that share digits lo.. may differ there.  With lo = 0 this asks it of
+    the one branch the digits spell.
+    """
     for rows in tables:
         for j, k, tau in rows:
+            if j < lo or k < lo:
+                break
             d = tau[digits[k]]
             if d != digits[j]:
                 if d < digits[j]:
@@ -311,17 +338,21 @@ def _has_smaller_image(
     return False
 
 
-def _scan(
+def _search(
     n: int, edges: tuple[_Triple, ...], cap: Fraction, autos: list[dict[int, int]]
 ) -> tuple[int | None, Fraction, list[Fraction] | None, int]:
-    """Decide branches in counter order, skipping those with a smaller image.
+    """Decide the branches depth first, in counter order, until one is feasible.
 
-    Builds the rows once, and hands each decided branch the strict rows of
-    the non-edges (middle b, then a, then c) and its own equality rows.
-    Returns the first feasible branch, its margin (the best margin: every
-    other branch has margin 0), its distances and the number of branches
-    decided; with no feasible branch, None, 0 and None.  With autos holding
-    only the identity, every branch up to the first feasible one is decided.
+    Builds the rows once.  A node fixes digits lo.. and its children give
+    digit lo - 1 the values 0, 1 and 2, so the leaves arrive in counter
+    order.  A node is cut when some automorphism maps its fixed digits
+    below themselves, as every leaf under it has a smaller image, or when
+    its equalities sink it, as every leaf under it would be sunk before its
+    LP.  Each leaf left is handed the strict rows of the non-edges (middle
+    b, then a, then c) and its own equality rows in edge order.  Returns the
+    first feasible branch's counter index, its margin (the best margin:
+    every other branch has margin 0), its distances and the number of leaves
+    decided; with no feasible branch, None, 0 and None.
     """
     table = _triangles(n)
     eset = set(edges)
@@ -329,22 +360,30 @@ def _scan(
     options = [table[e] for e in edges]
     npairs = n * (n - 1) // 2
     tables = _digit_tables(edges, autos)
-    m = len(edges)
-    digits = [0] * (m + 1)  # a sentinel digit ends the carry at 3**m
+    digits = [0] * len(edges)
     decided = 0
-    for a in range(3**m):
-        if not _has_smaller_image(tables, digits):
+
+    def descend(lo: int) -> tuple[Fraction, list[Fraction]] | None:
+        nonlocal decided
+        if _has_smaller_image(tables, digits, lo):
+            return None
+        equalities = [rows[d] for rows, d in zip(options[lo:], digits[lo:])]
+        if lo == 0:
             decided += 1
-            equalities = [rows[d] for rows, d in zip(options, digits)]
-            found = _decide_branch(npairs, cap, triangles, equalities)
+            return _decide_branch(npairs, cap, triangles, equalities)
+        if _reduce(npairs, triangles, equalities) is None:
+            return None
+        for d in range(3):
+            digits[lo - 1] = d
+            found = descend(lo - 1)
             if found is not None:
-                return a, *found, decided
-        k = 0
-        while digits[k] == 2:
-            digits[k] = 0
-            k += 1
-        digits[k] += 1
-    return None, Fraction(0), None, decided
+                return found
+        return None
+
+    found = descend(len(edges))
+    if found is None:
+        return None, Fraction(0), None, decided
+    return sum(d * 3**k for k, d in enumerate(digits)), *found, decided
 
 
 def _witness_from(T: TripleSystem, dists: list[Fraction]) -> MetricSpace:
@@ -365,15 +404,17 @@ def metrizable(
 ) -> FeasibilityResult:
     """Decide whether some metric space induces exactly these triples.
 
-    Walks the per-edge middle assignments serially in base-3 counter order
-    until one admits a metric.  A branch that an automorphism of T maps to
-    a smaller branch is skipped, as that smaller branch was infeasible and
-    so is this one; every other branch is decided by its exact LP.  The
-    result is that of deciding every branch in turn: assignments_tried
-    counts skipped branches, and the witness comes from the first feasible
-    branch and is verified by recomputing its betweenness triples.
-    Systems on more than MAX_METRIZABLE_N points raise SizeCap before the
-    first LP.
+    Searches the per-edge middle assignments depth first, leaves in base-3
+    counter order, until one admits a metric.  A subtree is cut when an
+    automorphism of T maps its fixed digits below themselves, as every
+    smaller branch was infeasible and so is each of its leaves, or when its
+    equalities force a distance or a strict slack to zero; every other leaf
+    is decided by its exact LP.  The result is that of deciding every
+    branch in turn: assignments_tried is the counter index of the first
+    feasible branch plus 1, or 3**edges, and the witness comes from that
+    branch and is verified by recomputing its betweenness triples.  Systems
+    with more than max_edges edges raise TooManyAssignments and systems on
+    more than MAX_METRIZABLE_N points raise SizeCap, before the first LP.
     """
     if T.n < 3:
         raise TooFewPoints(T.n, 3)
@@ -387,7 +428,7 @@ def metrizable(
         raise TooManyAssignments(len(edges), max_edges)
     if T.n > MAX_METRIZABLE_N:
         raise SizeCap(f"metrizable is capped at n <= {MAX_METRIZABLE_N}, got {T.n}")
-    first, best, dists, _ = _scan(T.n, edges, cap, _automorphisms(edges))
+    first, best, dists, _ = _search(T.n, edges, cap, _automorphisms(edges))
     if first is None:
         return FeasibilityResult(False, None, 3 ** len(edges), best)
     return FeasibilityResult(True, _witness_from(T, dists), first + 1, best)

@@ -2,12 +2,13 @@
 
 Everything here is written directly from the definitions, independently of
 the package internals, so the tests compare two routes to the same answer.
-Four references are former package code kept as the slow route that a
+Five references are former package code kept as the slow route that a
 faster one replaced: the per-point line loop that the packed-row kernel
 replaced, the rational elimination of the metrizability LP, the per-line
-file loaders that the bulk parsers replaced, and the generate-and-dedup
-enumerator at the end, which canonicalizes through the package's full
-placement search.  That search is checked in turn against
+file loaders that the bulk parsers replaced, the counter scan of middle
+assignments that the depth-first metrizability search replaced, and the
+generate-and-dedup enumerator, which canonicalizes through the package's
+full placement search.  That search is checked in turn against
 oracle_min_cols, the minimum readout over every permutation.  cli_json
 reads the document a CLI call prints, for the tests of what the CLI alone
 renders.
@@ -35,6 +36,7 @@ from metriclines import (
     graph_from_edges,
     validate_metric,
 )
+from metriclines import feasibility
 from metriclines.cli import main
 from metriclines.enumeration import (
     canonical_graph_cols,
@@ -396,3 +398,39 @@ def fraction_eliminate(npairs: int, eq_rows: list[list[int]]):
         for v in vec:
             scale = scale * v.denominator // gcd(scale, v.denominator)
     return free, [[int(v * scale) for v in vec] for vec in fexprs], scale
+
+
+def counter_scan(n: int, edges, cap, autos):
+    """The base-3 counter scan that feasibility._search replaced: its oracle.
+
+    Walks every branch in counter order over the sorted edges, edge k as
+    digit k with edge 0 the least significant, skips a branch that some
+    automorphism in autos maps below itself, and hands the others to
+    feasibility._decide_branch until one is feasible.  Returns what _search
+    returns: the first feasible branch's index, its margin, its distances
+    and the number of branches decided, or None, 0, None and that number.
+    With autos holding only the identity, every branch up to the first
+    feasible one is decided.
+    """
+    table = feasibility._triangles(n)
+    eset = set(edges)
+    triangles = [r for t, (ma, mb, mc) in table.items() if t not in eset for r in (mb, ma, mc)]
+    options = [table[e] for e in edges]
+    npairs = n * (n - 1) // 2
+    tables = feasibility._digit_tables(edges, autos)
+    m = len(edges)
+    digits = [0] * (m + 1)  # a sentinel digit ends the carry at 3**m
+    decided = 0
+    for a in range(3**m):
+        if not feasibility._has_smaller_image(tables, digits, 0):
+            decided += 1
+            equalities = [rows[d] for rows, d in zip(options, digits)]
+            found = feasibility._decide_branch(npairs, cap, triangles, equalities)
+            if found is not None:
+                return a, *found, decided
+        k = 0
+        while digits[k] == 2:
+            digits[k] = 0
+            k += 1
+        digits[k] += 1
+    return None, Fraction(0), None, decided

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from metriclines import (
     betweenness_triples,
-    calculus_check,
     conjecture_scan,
     dump_graph,
     enum_graphs,
@@ -27,18 +26,22 @@ from metriclines import (
     group_space,
     line_family,
     line_of,
-    k34_condition,
     metrizable,
     min_lines,
     pentagon,
     power_bound,
-    predicted_group_lines,
     triple_system,
-    vertex_signatures,
 )
-from metriclines.graphs import Graph, distinct_line_case, graph_dist_rows
+from metriclines.graphs import Graph, graph_dist_rows
 from metriclines.metric import int_metric_line_masks
 from metriclines.search import _SPECS, triple_line_masks
+from lemmas import (
+    calculus_check,
+    distinct_line_case,
+    k34_condition,
+    predicted_group_lines,
+    vertex_signatures,
+)
 
 import helpers
 

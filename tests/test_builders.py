@@ -23,7 +23,6 @@ from metriclines import (
     Graph,
     TooFewPoints,
     TripleSystem,
-    adjacency_from_rows,
     betweenness_triples,
     complete_graph,
     complete_quadruple,
@@ -36,9 +35,9 @@ from metriclines import (
     load_graph_text,
     load_triples_text,
     path_graph,
-    space_to_graph,
     triple_system,
 )
+from lemmas import adjacency_from_rows, space_to_graph
 from helpers import random_int_space, random_rational_space
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"

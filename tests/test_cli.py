@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metriclines
-from metriclines import FeasibilityResult, cli, graph_from_edges
+from metriclines import FeasibilityResult, cli, graph_from_edges, triples
 from metriclines.cli import main
 from metriclines.search import ScanReport
 
@@ -109,6 +109,27 @@ class TestTriplesAndHyperlines:
         assert doc["count"] == 1
         assert doc["universal"] is True
         assert doc["lines"] == [[0, 1, 2, 3]]
+
+    def test_hyperlines_of_a_huge_n_fail_fast(self, tmp_path, capsys):
+        # one line declares the points and no edges: a line per pair to build
+        cap = triples.MAX_HYPERLINE_N
+        p = tmp_path / "huge.txt"
+        p.write_text(f"{cap + 1} 0\n")
+        t0 = time.perf_counter()
+        assert run_main("hyperlines", str(p)) == 2
+        assert time.perf_counter() - t0 < 0.5
+        assert capsys.readouterr().err == (
+            f"error: the hyperlines of all pairs are capped at n <= {cap}, got {cap + 1}\n"
+        )
+
+    def test_hyperline_cap_admits_its_own_size(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(triples, "MAX_HYPERLINE_N", 4)
+        p = tmp_path / "four.txt"
+        p.write_text("4 0\n")
+        assert run_main("--format", "json", "hyperlines", str(p)) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 6
+        p.write_text("5 0\n")
+        assert run_main("hyperlines", str(p)) == 2
 
 
 class TestCheckVerb:

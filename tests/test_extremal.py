@@ -14,30 +14,32 @@ from metriclines import (
     IndexOutOfRange,
     PreconditionUnmet,
     TooFewPoints,
-    XInsideT,
     balanced_group_space,
-    bucket_decomposition,
-    calculus_check,
     check_bound,
     complete_graph,
     complete_quadruple,
     construct,
     dump_metric,
-    equal_line_class,
     extremes,
     graph_from_edges,
-    graph_metric,
     group_space,
     line_family,
     path_graph,
     pentagon,
     power_bound,
-    predicted_group_lines,
     uniform_space,
 )
 from metriclines.extremal import balanced_group_count
 from metriclines.graphs import graph_dist_rows
 from metriclines.metric import int_metric_line_masks
+from lemmas import (
+    XInsideT,
+    bucket_decomposition,
+    calculus_check,
+    equal_line_class,
+    graph_metric,
+    predicted_group_lines,
+)
 
 import helpers
 

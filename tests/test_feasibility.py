@@ -28,7 +28,7 @@ from metriclines.feasibility import (
     MAX_METRIZABLE_N,
     _automorphisms,
     _eliminate,
-    _scan,
+    _search,
     _triangles,
 )
 
@@ -145,16 +145,25 @@ class TestSizeCap:
 
 
 def scans(T):
-    """The reduced scan and the scan that decides every branch, on T."""
+    """The search with orbit cuts, and the oracle scan that decides every branch, on T."""
     edges = T.sorted_edges()
     autos = _automorphisms(edges)
-    return _scan(T.n, edges, Fraction(1), autos), _scan(T.n, edges, Fraction(1), autos[:1])
+    full = helpers.counter_scan(T.n, edges, Fraction(1), autos[:1])
+    return _search(T.n, edges, Fraction(1), autos), full
 
 
 @pytest.fixture(scope="module")
 def fano_scans():
     # the full scan solves all 2187 LPs, so the tests share one
     return scans(fano())
+
+
+def relabelled_fano():
+    perm = list(range(7))
+    random.Random(1).shuffle(perm)
+    relabelled = triple_system(7, [tuple(perm[p] for p in e) for e in fano().edges])
+    assert relabelled.edges != fano().edges  # not itself an automorphism
+    return relabelled
 
 
 def assert_same(T, reduced, full):
@@ -180,13 +189,12 @@ class TestSymmetryReduction:
 
     def test_matches_full_scan_on_fano_and_quadruple(self, fano_scans):
         assert_same(fano(), *fano_scans)
-        perm = list(range(7))
-        random.Random(1).shuffle(perm)
-        relabelled = triple_system(
-            7, [tuple(perm[p] for p in e) for e in fano().edges]
-        )
-        assert relabelled.edges != fano().edges  # not itself an automorphism
-        assert_same(relabelled, *scans(relabelled))
+        # relabelling maps each branch onto a branch of Fano with the same
+        # margin, so the full scan of the copy gives Fano's record
+        relabelled = relabelled_fano()
+        edges = relabelled.sorted_edges()
+        reduced = _search(7, edges, Fraction(1), _automorphisms(edges))
+        assert_same(relabelled, reduced, fano_scans[1])
         assert_same(complete_quadruple(), *scans(complete_quadruple()))
 
     def test_fano_decides_one_branch_per_orbit(self, fano_scans):
@@ -211,6 +219,50 @@ class TestSymmetryReduction:
         autos = _automorphisms(edges)
         assert time.perf_counter() - t0 < 1.0
         assert 1 < len(autos) <= 1024
+
+
+class TestSearchMatchesTheScan:
+    """The depth-first search against the counter scan, with the same automorphisms."""
+
+    @pytest.mark.parametrize(
+        "systems",
+        [
+            pytest.param(lambda: enum_triple_systems(3), id="n3"),
+            pytest.param(lambda: enum_triple_systems(4), id="n4"),
+            pytest.param(lambda: enum_triple_systems(5), id="n5"),
+            pytest.param(lambda: [fano(), relabelled_fano(), complete_quadruple()], id="named"),
+            pytest.param(lambda: seeded_six_point_systems(20, 5, 8), id="n6-seeded"),
+        ],
+    )
+    def test_same_record_and_lps(self, monkeypatch, systems):
+        solve = feasibility.maximize_scaled
+        lps = 0
+
+        def counted(*args):
+            nonlocal lps
+            lps += 1
+            return solve(*args)
+
+        monkeypatch.setattr(feasibility, "maximize_scaled", counted)
+        for T in systems():
+            edges = T.sorted_edges()
+            autos = _automorphisms(edges)
+            lps = 0
+            found = _search(T.n, edges, Fraction(1), autos)
+            found_lps, lps = lps, 0
+            oracle = helpers.counter_scan(T.n, edges, Fraction(1), autos)
+            assert found[:3] == oracle[:3]
+            assert found_lps == lps
+            assert found[3] <= oracle[3]
+
+    def test_k6_plus_a_point_is_decided_fast(self):
+        # the scan's first feasible branch is number 44,879,765 of 3**20
+        T = triple_system(7, itertools.combinations(range(6), 3))
+        t0 = time.perf_counter()
+        res = metrizable(T, max_edges=20)
+        assert time.perf_counter() - t0 < 1.0
+        assert res.metrizable and res.assignments_tried == 44_879_765
+        assert betweenness_triples(res.witness) == T
 
 
 def order(sigma):
@@ -239,18 +291,18 @@ class TestStatelessSkipping:
                 continue
             checked += 1
             group, pair, alone = (
-                _scan(T.n, edges, Fraction(1), a) for a in (autos, [autos[0], sigma], autos[:1])
+                _search(T.n, edges, Fraction(1), a) for a in (autos, [autos[0], sigma], autos[:1])
             )
             assert pair[:3] == alone[:3]
             assert group[3] <= pair[3] <= alone[3]
         assert checked == 15
 
     def test_memory_stays_bounded(self, monkeypatch):
-        # K6 on triples plus an isolated point: 20 triples, 720 automorphisms
-        T = triple_system(7, itertools.combinations(range(6), 3))
-        edges = T.sorted_edges()
-        autos = _automorphisms(edges)
-        decide = feasibility._decide_branch
+        # with every branch infeasible, the search on K6 on triples plus an
+        # isolated point (20 triples, 720 automorphisms) ends after 2
+        # branches, and on Fano without its automorphisms passes 300
+        k6 = triple_system(7, itertools.combinations(range(6), 3)).sorted_edges()
+        edges = fano().sorted_edges()
         calls = 0
 
         def capped(*args):
@@ -258,13 +310,14 @@ class TestStatelessSkipping:
             calls += 1
             if calls > 300:
                 raise StopScan
-            return decide(*args)
+            return None
 
         monkeypatch.setattr(feasibility, "_decide_branch", capped)
         tracemalloc.start()
         try:
+            assert _search(7, k6, Fraction(1), _automorphisms(k6))[::3] == (None, 2)
             with pytest.raises(StopScan):
-                _scan(T.n, edges, Fraction(1), autos)
+                _search(7, edges, Fraction(1), _automorphisms(edges)[:1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -291,29 +344,55 @@ class TestTriangleRows:
         assert _triangles(3)[0, 1, 2] == ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
     def test_scan_hands_each_branch_its_rows(self, monkeypatch):
-        T = triple_system(5, [(0, 1, 2), (0, 3, 4), (1, 2, 3)])
-        edges = T.sorted_edges()
+        edges = ((0, 1, 2), (0, 3, 4), (1, 2, 3))
+        calls, decided = record_branches(monkeypatch, edges)
+        # none of the 27 branches sinks
+        assert decided == list(range(27))
         pairs = list(itertools.combinations(range(5), 2))
-        calls = []
-
-        def record(npairs, cap, triangles, equalities):
-            calls.append((npairs, cap, triangles, equalities))
-            return None
-
-        monkeypatch.setattr(feasibility, "_decide_branch", record)
-        assert _scan(5, edges, Fraction(3), _automorphisms(edges)[:1])[0] is None
-        assert len(calls) == 27
-        nonedges = [t for t in itertools.combinations(range(5), 3) if t not in T.edges]
-        for a, (npairs, cap, triangles, equalities) in enumerate(calls):
+        nonedges = [t for t in itertools.combinations(range(5), 3) if t not in edges]
+        for npairs, cap, triangles, equalities in calls:
             assert (npairs, cap) == (10, 3)
             # every non-edge gives its rows with middle b, then a, then c
             assert [middle(pairs, r) for r in triangles] == [
                 t[i] for t in nonedges for i in (1, 0, 2)
             ]
-            digits = [a // 3**k % 3 for k in range(len(edges))]
-            assert [middle(pairs, r) for r in equalities] == [
-                e[d] for e, d in zip(edges, digits)
-            ]
+
+    def test_search_leaves_out_only_sunk_branches(self, monkeypatch):
+        edges = ((0, 3, 4), (1, 2, 4), (1, 3, 4), (2, 3, 4))
+        decide = feasibility._decide_branch
+        calls, decided = record_branches(monkeypatch, edges)
+        assert len(decided) == 45
+
+        def no_lp(*args):
+            raise AssertionError("a branch left out reached the LP")
+
+        monkeypatch.setattr(feasibility, "maximize_scaled", no_lp)
+        table = _triangles(5)
+        for a in set(range(3**4)) - set(decided):
+            rows = [table[e][a // 3**k % 3] for k, e in enumerate(edges)]
+            assert decide(10, Fraction(3), calls[0][2], rows) is None
+
+
+def record_branches(monkeypatch, edges):
+    """The _decide_branch calls of a search on 5 points with the identity
+    alone and every branch infeasible, and the counter index of each."""
+    pairs = list(itertools.combinations(range(5), 2))
+    calls = []
+
+    def record(npairs, cap, triangles, equalities):
+        calls.append((npairs, cap, triangles, equalities))
+        return None
+
+    monkeypatch.setattr(feasibility, "_decide_branch", record)
+    assert _search(5, edges, Fraction(3), _automorphisms(edges)[:1])[0] is None
+    decided = []
+    for _, _, _, equalities in calls:
+        # equality k puts a point of edge k in the middle: digit k
+        digits = [e.index(middle(pairs, r)) for e, r in zip(edges, equalities)]
+        decided.append(sum(d * 3**k for k, d in enumerate(digits)))
+    # in counter order, each once
+    assert decided == sorted(set(decided))
+    return calls, decided
 
 
 def branch_rows(T):
@@ -331,10 +410,10 @@ def branch_rows(T):
         yield npairs, rows
 
 
-def seeded_six_point_systems(count):
+def seeded_six_point_systems(count, lo=4, hi=5):
     rng = random.Random(0)
     triples = list(itertools.combinations(range(6), 3))
-    return [triple_system(6, rng.sample(triples, rng.randint(4, 5))) for _ in range(count)]
+    return [triple_system(6, rng.sample(triples, rng.randint(lo, hi))) for _ in range(count)]
 
 
 class TestElimination:

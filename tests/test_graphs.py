@@ -9,32 +9,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metriclines import (
-    ArityMismatch,
     BadParams,
     DisconnectedGraph,
     IndexOutOfRange,
     MetricSpace,
-    NotOneTwoSpace,
-    adjacency_from_rows,
-    are_twins,
     diameter,
-    distinct_line_case,
     enum_graphs,
-    find_twins,
-    geodesic_path,
     graph_from_edges,
-    graph_metric,
     graph_to_space,
     group_space,
     is_connected,
-    max_clique_size,
-    maximal_twin_free,
-    space_to_graph,
     uniform_space,
     validate_metric,
 )
 from metriclines.graphs import graph_dist_rows, onetwo_line_masks
 from metriclines.metric import int_metric_line_masks
+from lemmas import (
+    ArityMismatch,
+    NotOneTwoSpace,
+    adjacency_from_rows,
+    are_twins,
+    distinct_line_case,
+    find_twins,
+    geodesic_path,
+    graph_metric,
+    max_clique_size,
+    maximal_twin_free,
+    space_to_graph,
+)
 from helpers import labeled_graph_rows, oracle_line_sets
 
 

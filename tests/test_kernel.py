@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from metriclines import (
     MetricLinesError,
     MetricSpace,
-    NotOneTwoSpace,
     PreconditionUnmet,
     TriangleViolation,
     between,
@@ -37,7 +36,6 @@ from metriclines import (
     graph_to_space,
     line_family,
     line_of,
-    space_to_graph,
     validate_metric,
 )
 from metriclines.graphs import graph_dist_rows
@@ -48,6 +46,7 @@ from metriclines.metric import (
     mask_points,
     sort_distinct,
 )
+from lemmas import NotOneTwoSpace, space_to_graph
 from helpers import (
     floyd_closure,
     labeled_graph_rows,

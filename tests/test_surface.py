@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import metriclines
+import metriclines.cli as cli
 from metriclines.bounds import ALPHA
 from metriclines.errors import Record
 from metriclines.extremal import check_bound, path_graph, pentagon
@@ -70,6 +71,20 @@ def test_public_names_resolve_once():
     names = metriclines.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(metriclines, name)] == []
+
+
+def test_public_names_are_the_imported_ones():
+    """__all__ holds what the CLI takes through the package (its _LIBRARY)
+    and what tests/ and bench/ import from it, so a public name that
+    nothing imports fails here.  bench/tracer.py patches names on modules;
+    those on the CLI are in _LIBRARY or imported by cli.py directly."""
+    modules = {path.stem for path in Path(metriclines.__file__).parent.glob("*.py")}
+    imported = set()
+    for path in sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "metriclines" and not node.level:
+                imported |= {alias.name for alias in node.names}
+    assert sorted(metriclines.__all__) == sorted((imported - modules) | cli._LIBRARY)
 
 
 @pytest.mark.parametrize(

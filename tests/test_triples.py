@@ -9,23 +9,21 @@ from metriclines import (
     BadParams,
     DegeneratePair,
     TooFewPoints,
-    XInsideT,
     betweenness_triples,
     complete_quadruple,
     enum_triple_systems,
     fano,
     hyper_line,
     hyper_line_family,
-    k34_condition,
     line_family,
     triple_system,
     uniform_space,
-    vertex_signatures,
 )
 from metriclines.extremal import balanced_group_space, group_space, path_graph, pentagon
 from metriclines.graphs import graph_to_space
 from metriclines.metric import mask_points
 from metriclines.triples import triple_line_masks
+from lemmas import XInsideT, k34_condition, vertex_signatures
 from helpers import oracle_triples, random_int_space, random_rational_space, reference_links
 
 
