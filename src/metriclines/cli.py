@@ -298,11 +298,7 @@ def _metrizable_tsv(doc: dict) -> list[str]:
 
 def _cmd_metrizable(args) -> int:
     system = load_triples_text(_read_text(args.file), source=args.file)
-    result = _lib("metrizable")(
-        system,
-        normalization_cap=parse_rational(args.cap),
-        max_edges=args.max_edges,
-    )
+    result = _lib("metrizable")(system, max_edges=args.max_edges)
     doc = {
         "metrizable": result.metrizable,
         "assignments_tried": result.assignments_tried,
@@ -374,7 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrizable", help="decide if a triple system has a metric")
     p.add_argument("file", help="triples file, or - for stdin")
-    p.add_argument("--cap", default="1", help="distance normalization cap (rational)")
     p.add_argument(
         "--max-edges", type=int, default=DEFAULT_EDGE_CAP, help="most edges to branch on (3**edges leaves)"
     )

@@ -5,9 +5,10 @@ the other two, so a candidate metric must satisfy one of three equalities
 per edge.  Enumerating a middle per edge leaves, per assignment, a linear
 feasibility problem over the pair distances: the chosen equalities, all
 three strict triangle inequalities on every non-edge triple, strict
-positivity, and an upper cap that removes scale freedom.  Strictness is
-bought with a shared margin variable that gets maximized; the assignment
-is feasible exactly when the optimal margin is positive.
+positivity, and every distance at most 1.  Strictness is bought with a
+shared margin variable that gets maximized; the assignment is feasible
+exactly when the optimal margin is positive.  Without the bound the rows
+are homogeneous, so it fixes only the scale of the witness and the margin.
 
 Every triple has three rows, one per middle vertex, built once per system.
 A branch gives edge k of the sorted edge list a digit d, which picks the
@@ -38,7 +39,8 @@ exactly the least branch of each orbit is decided.
 A leaf that is not cut is decided exactly.  It is eliminated down to its
 free coordinates by fraction-free Gauss-Jordan elimination, which writes
 every pair distance as an integer combination of the free ones over one
-common denominator, and is handed to the integer-pivoting solver.
+common denominator, and is handed to the integer-pivoting solver.  Only
+best_margin is a Fraction: the witness is built from integers.
 """
 
 from __future__ import annotations
@@ -180,9 +182,10 @@ def _reduce(
 
 
 def _decide_branch(
-    npairs: int, cap: Fraction, triangles: list[_Triple], equalities: list[_Triple]
-) -> tuple[Fraction, list[Fraction]] | None:
-    """Optimal margin and distances of one branch; None when the margin is not positive.
+    npairs: int, triangles: list[_Triple], equalities: list[_Triple]
+) -> tuple[int, list[int], int] | None:
+    """Margin and distances at one branch's optimum, as numerators over the
+    denominator that follows; None when the margin is not positive.
 
     equalities holds the branch's rows d_i1 + d_i2 = d_i3, one per edge it
     fixes, and triangles the strict rows d_i1 + d_i2 > d_i3 of every
@@ -214,22 +217,19 @@ def _decide_branch(
         ecoef = scale - sum(expr)
         if ecoef > 0 or any(v < 0 for v in expr):
             add([-v for v in expr] + [ecoef], 0)
-    cp, cq = cap.numerator, cap.denominator
+    # and every distance at most 1: expr + S*margin <= scale
     for expr, s in zip(exprs, sums):
         if s <= 0 and not any(v > 0 for v in expr):
-            continue  # cannot exceed the cap
-        add([cq * v for v in expr] + [cq * s], cp * scale)
+            continue  # cannot exceed 1
+        add(expr + [s], scale)
 
     objective = [0] * k + [1]
     sol = maximize_scaled(objective, M, b)
-    if sol.value <= 0:
-        return None
     eps = sol.value
-    dists = [
-        Fraction(sum(c * z for c, z in zip(expr, sol.x) if c) + s * eps, scale)
-        for expr, s in zip(exprs, sums)
-    ]
-    return eps, dists
+    if eps <= 0:
+        return None
+    dists = [sum(c * z for c, z in zip(expr, sol.x) if c) + s * eps for expr, s in zip(exprs, sums)]
+    return eps * scale, dists, sol.den * scale
 
 
 def _automorphisms(edges: tuple[_Triple, ...]) -> list[dict[int, int]]:
@@ -339,8 +339,8 @@ def _has_smaller_image(
 
 
 def _search(
-    n: int, edges: tuple[_Triple, ...], cap: Fraction, autos: list[dict[int, int]]
-) -> tuple[int | None, Fraction, list[Fraction] | None, int]:
+    n: int, edges: tuple[_Triple, ...], autos: list[dict[int, int]]
+) -> tuple[int | None, int, list[int] | None, int, int]:
     """Decide the branches depth first, in counter order, until one is feasible.
 
     Builds the rows once.  A node fixes digits lo.. and its children give
@@ -351,8 +351,9 @@ def _search(
     LP.  Each leaf left is handed the strict rows of the non-edges (middle
     b, then a, then c) and its own equality rows in edge order.  Returns the
     first feasible branch's counter index, its margin (the best margin:
-    every other branch has margin 0), its distances and the number of leaves
-    decided; with no feasible branch, None, 0 and None.
+    every other branch has margin 0) and distances as numerators over the
+    denominator that follows, and the number of leaves decided; with no
+    feasible branch, None, 0, None and 1.
     """
     table = _triangles(n)
     eset = set(edges)
@@ -363,14 +364,14 @@ def _search(
     digits = [0] * len(edges)
     decided = 0
 
-    def descend(lo: int) -> tuple[Fraction, list[Fraction]] | None:
+    def descend(lo: int) -> tuple[int, list[int], int] | None:
         nonlocal decided
         if _has_smaller_image(tables, digits, lo):
             return None
         equalities = [rows[d] for rows, d in zip(options[lo:], digits[lo:])]
         if lo == 0:
             decided += 1
-            return _decide_branch(npairs, cap, triangles, equalities)
+            return _decide_branch(npairs, triangles, equalities)
         if _reduce(npairs, triangles, equalities) is None:
             return None
         for d in range(3):
@@ -382,26 +383,22 @@ def _search(
 
     found = descend(len(edges))
     if found is None:
-        return None, Fraction(0), None, decided
+        return None, 0, None, 1, decided
     return sum(d * 3**k for k, d in enumerate(digits)), *found, decided
 
 
-def _witness_from(T: TripleSystem, dists: list[Fraction]) -> MetricSpace:
+def _witness_from(T: TripleSystem, dists: list[int], den: int) -> MetricSpace:
     n = T.n
-    table = [[Fraction(0)] * n for _ in range(n)]
+    table = [[0] * n for _ in range(n)]
     for (i, j), d in zip(combinations(range(n), 2), dists):
         table[i][j] = table[j][i] = d
-    space = validate_metric(table)
+    space = validate_metric(table, den)
     if betweenness_triples(space) != T:
         raise SolverFailure("witness failed the betweenness round trip")
     return space
 
 
-def metrizable(
-    T: TripleSystem,
-    normalization_cap: Fraction | int = 1,
-    max_edges: int = DEFAULT_EDGE_CAP,
-) -> FeasibilityResult:
+def metrizable(T: TripleSystem, max_edges: int = DEFAULT_EDGE_CAP) -> FeasibilityResult:
     """Decide whether some metric space induces exactly these triples.
 
     Searches the per-edge middle assignments depth first, leaves in base-3
@@ -412,15 +409,14 @@ def metrizable(
     is decided by its exact LP.  The result is that of deciding every
     branch in turn: assignments_tried is the counter index of the first
     feasible branch plus 1, or 3**edges, and the witness comes from that
-    branch and is verified by recomputing its betweenness triples.  Systems
-    with more than max_edges edges raise TooManyAssignments and systems on
-    more than MAX_METRIZABLE_N points raise SizeCap, before the first LP.
+    branch, has every distance at most 1, and is verified by recomputing
+    its betweenness triples.  best_margin is that branch's optimal margin,
+    or 0.  Systems with more than max_edges edges raise TooManyAssignments
+    and systems on more than MAX_METRIZABLE_N points raise SizeCap, before
+    the first LP.
     """
     if T.n < 3:
         raise TooFewPoints(T.n, 3)
-    cap = Fraction(normalization_cap)
-    if cap <= 0:
-        raise BadParams("normalization_cap must be positive")
     if max_edges < 0:
         raise BadParams(f"max_edges must be nonnegative, got {max_edges}")
     edges = T.sorted_edges()
@@ -428,7 +424,8 @@ def metrizable(
         raise TooManyAssignments(len(edges), max_edges)
     if T.n > MAX_METRIZABLE_N:
         raise SizeCap(f"metrizable is capped at n <= {MAX_METRIZABLE_N}, got {T.n}")
-    first, best, dists, _ = _search(T.n, edges, cap, _automorphisms(edges))
+    first, margin, dists, den, _ = _search(T.n, edges, _automorphisms(edges))
+    best = Fraction(margin, den)
     if first is None:
         return FeasibilityResult(False, None, 3 ** len(edges), best)
-    return FeasibilityResult(True, _witness_from(T, dists), first + 1, best)
+    return FeasibilityResult(True, _witness_from(T, dists, den), first + 1, best)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from itertools import chain, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import floordiv, itemgetter, lt, mul
 from typing import TYPE_CHECKING, Any
 
@@ -221,10 +221,9 @@ def load_metric_text(text: str, source: str = "<string>") -> MetricSpace:
 
 def metric_rows(S: MetricSpace) -> Iterator[str]:
     """The lines of S's text without their newlines: n, then one per row."""
-    from fractions import Fraction
-
     s = S.scale
-    entry = str if s == 1 else lambda x: format_rational(Fraction(x, s))
+    # x / s in lowest terms, where g = gcd(x, s) is s exactly when s divides x
+    entry = str if s == 1 else lambda x: str(x // s) if (g := gcd(x, s)) == s else f"{x // g}/{s // g}"
     yield str(S.n)
     for row in S.scaled:
         yield " ".join(map(entry, row))

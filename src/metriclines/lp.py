@@ -6,16 +6,15 @@ phase-1 is needed.  That restricted form, with denominators already
 cleared, is all the feasibility reductions here generate.
 
 The solver keeps the simplex dictionary as an integer matrix with one
-shared denominator and pivots fraction-free (the two-term Bareiss update),
-which avoids Fraction overhead in the hot loop.  Entering columns follow
-Dantzig's rule until the iteration stalls on degenerate pivots, then switch
-to Bland's rule, which cannot cycle.  Everything is exact; the optimal
-value and point are reported as Fractions.
+shared, positive denominator and pivots fraction-free (the two-term Bareiss
+update).  Entering columns follow Dantzig's rule until the iteration stalls
+on degenerate pivots, then switch to Bland's rule, which cannot cycle.
+Everything is exact and stays in integers: the optimal value and point are
+numerators over the final denominator, and no Fraction is built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import Record, SolverFailure
@@ -25,8 +24,9 @@ _MAX_PIVOTS = 100_000
 
 
 class SimplexSolution(Record):
-    value: Fraction
-    x: tuple[Fraction, ...]
+    value: int
+    x: tuple[int, ...]
+    den: int
 
 
 def maximize_scaled(
@@ -36,6 +36,7 @@ def maximize_scaled(
 ) -> SimplexSolution:
     """Maximize obj_ints.x subject to M.x <= b, x >= 0, where b >= 0.
 
+    The optimum is value / den, attained at the point x[j] / den.
     M and b are consumed (mutated in place).  Raises SolverFailure on a
     negative rhs, an unbounded objective or more than _MAX_PIVOTS pivots.
     """
@@ -116,8 +117,8 @@ def maximize_scaled(
         pivots += 1
         stall = stall + 1 if degenerate else 0
 
-    xs = [Fraction(0)] * nvars
+    xs = [0] * nvars
     for i in range(m):
         if basic[i] < nvars:
-            xs[basic[i]] = Fraction(b[i], den)
-    return SimplexSolution(Fraction(zb, den), tuple(xs))
+            xs[basic[i]] = b[i]
+    return SimplexSolution(zb, tuple(xs), den)

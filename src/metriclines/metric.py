@@ -3,11 +3,12 @@
 Points are 0..n-1.  Distances are exact rationals, kept once as an integer
 table over their least common denominator, so betweenness,
 d(a,b) + d(b,c) == d(a,c), is decided exactly, with no floats, on ints.
-Fractions appear only where rationals enter (validate_metric) and leave
-(dist, extremes).  int_metric_line_masks turns the table into one line
-bitmask per pair; sort_distinct cuts that list to its distinct masks in
-place, and family_from_masks reads their points off over one shared tuple
-of the n point ints.
+Fractions appear only where rationals enter as Fractions (validate_metric
+reduces ints over a scale, as the loader and metrizable hand them, by gcd)
+and leave (dist, extremes).  int_metric_line_masks turns the table into one
+line bitmask per pair; sort_distinct cuts that list to its distinct masks
+in place, and family_from_masks reads their points off over one shared
+tuple of the n point ints.
 
 Packed rows.  The kernel and the triangle pass of validate_metric work on
 each row of the integer table packed into one Python int: entry w sits in a

@@ -2,16 +2,17 @@
 
 Everything here is written directly from the definitions, independently of
 the package internals, so the tests compare two routes to the same answer.
-Five references are former package code kept as the slow route that a
+Six references are former package code kept as the slow route that a
 faster one replaced: the per-point line loop that the packed-row kernel
 replaced, the rational elimination of the metrizability LP, the per-line
 file loaders that the bulk parsers replaced, the counter scan of middle
-assignments that the depth-first metrizability search replaced, and the
-generate-and-dedup enumerator, which canonicalizes through the package's
-full placement search.  That search is checked in turn against
-oracle_min_cols, the minimum readout over every permutation.  cli_json
-reads the document a CLI call prints, for the tests of what the CLI alone
-renders.
+assignments that the depth-first metrizability search replaced, the
+Fraction table that metrizable's witness was built from before it stayed
+in integers, and the generate-and-dedup enumerator, which canonicalizes
+through the package's full placement search.  That search is checked in
+turn against oracle_min_cols, the minimum readout over every permutation.
+cli_json reads the document a CLI call prints, for the tests of what the
+CLI alone renders.
 """
 
 from __future__ import annotations
@@ -400,15 +401,16 @@ def fraction_eliminate(npairs: int, eq_rows: list[list[int]]):
     return free, [[int(v * scale) for v in vec] for vec in fexprs], scale
 
 
-def counter_scan(n: int, edges, cap, autos):
+def counter_scan(n: int, edges, autos):
     """The base-3 counter scan that feasibility._search replaced: its oracle.
 
     Walks every branch in counter order over the sorted edges, edge k as
     digit k with edge 0 the least significant, skips a branch that some
     automorphism in autos maps below itself, and hands the others to
     feasibility._decide_branch until one is feasible.  Returns what _search
-    returns: the first feasible branch's index, its margin, its distances
-    and the number of branches decided, or None, 0, None and that number.
+    returns: the first feasible branch's index, its margin and distances as
+    numerators over the denominator that follows, and the number of
+    branches decided, or None, 0, None, 1 and that number.
     With autos holding only the identity, every branch up to the first
     feasible one is decided.
     """
@@ -425,7 +427,7 @@ def counter_scan(n: int, edges, cap, autos):
         if not feasibility._has_smaller_image(tables, digits, 0):
             decided += 1
             equalities = [rows[d] for rows, d in zip(options, digits)]
-            found = feasibility._decide_branch(npairs, cap, triangles, equalities)
+            found = feasibility._decide_branch(npairs, triangles, equalities)
             if found is not None:
                 return a, *found, decided
         k = 0
@@ -433,4 +435,23 @@ def counter_scan(n: int, edges, cap, autos):
             digits[k] = 0
             k += 1
         digits[k] += 1
-    return None, Fraction(0), None, decided
+    return None, 0, None, 1, decided
+
+
+def fraction_witness(T: TripleSystem) -> tuple[MetricSpace | None, Fraction]:
+    """metrizable's witness and best_margin by the Fraction route.
+
+    Takes the first feasible branch that feasibility._search finds, makes
+    each pair distance the Fraction num / den of its numerator over the
+    branch's denominator, and runs validate_metric on that table of
+    Fractions; best_margin is margin / den.  With no feasible branch the
+    witness is None.
+    """
+    edges = T.sorted_edges()
+    first, margin, dists, den, _ = feasibility._search(T.n, edges, feasibility._automorphisms(edges))
+    if first is None:
+        return None, Fraction(margin, den)
+    table = [[Fraction(0)] * T.n for _ in range(T.n)]
+    for (i, j), num in zip(itertools.combinations(range(T.n), 2), dists):
+        table[i][j] = table[j][i] = Fraction(num, den)
+    return validate_metric(table), Fraction(margin, den)

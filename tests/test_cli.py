@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metriclines
-from metriclines import FeasibilityResult, cli, graph_from_edges, triples
+from metriclines import FeasibilityResult, cli, extremal, graph_from_edges, triples
 from metriclines.cli import main
 from metriclines.search import ScanReport
 
@@ -163,6 +163,29 @@ class TestCheckVerb:
         assert run_main("check", "diam", str(p)) == 3
         err = capsys.readouterr().err
         assert "error" in err
+
+    def test_graph_bounds_of_a_huge_graph_fail_fast(self, tmp_path, capsys):
+        # a path one vertex over the bound: C(n, 2) masks of n bits to build
+        cap = extremal.MAX_GRAPH_BOUND_N
+        p = tmp_path / "path.txt"
+        p.write_text(f"{cap + 1} {cap}\n" + "".join(f"{i} {i + 1}\n" for i in range(cap)))
+        for bound_id in ("diam", "graphs_corollary"):
+            t0 = time.perf_counter()
+            assert run_main("check", bound_id, str(p)) == 2
+            assert time.perf_counter() - t0 < 1.0
+            assert capsys.readouterr().err == (
+                f"error: the {bound_id} bound is capped at n <= {cap}, got {cap + 1}\n"
+            )
+
+    def test_graph_bound_cap_admits_its_own_size(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(extremal, "MAX_GRAPH_BOUND_N", 5)
+        p = tmp_path / "c5.txt"
+        p.write_text(C5_GRAPH)
+        assert run_main("check", "diam", str(p)) == 0
+        # an isolated sixth vertex: the bound is checked before connectivity
+        p.write_text(C5_GRAPH.replace("5 5", "6 5", 1))
+        assert run_main("check", "diam", str(p)) == 2
+        assert "capped at n <= 5, got 6" in capsys.readouterr().err
 
     def test_check_json(self, pentagon_file, capsys):
         assert run_main("--format", "json", "check", "range", pentagon_file) == 0
@@ -424,12 +447,13 @@ class TestMetrizableVerb:
         assert "max_edges must be nonnegative, got -1" in capsys.readouterr().err
 
     def test_bad_cap_is_usage_error(self, tmp_path, capsys):
+        # the witness has every distance at most 1, and no option rescales it
         p = tmp_path / "k34.txt"
         p.write_text(K34_TRIPLES)
-        assert run_main("metrizable", str(p), "--cap", "0") == 2
-        capsys.readouterr()
-        assert run_main("metrizable", str(p), "--cap", "pi") == 2
-        capsys.readouterr()
+        assert run_main("metrizable", "--cap", "2", str(p)) == 2
+        assert "unrecognized arguments: --cap" in capsys.readouterr().err
+        assert run_main("metrizable", str(p), "--cap", "2") == 2
+        assert "unrecognized arguments: --cap 2" in capsys.readouterr().err
 
 
 class TestErrorHandling:

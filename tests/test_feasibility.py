@@ -7,17 +7,19 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from metriclines import (
-    BadParams,
+    ParseError,
     SizeCap,
     TooFewPoints,
     TooManyAssignments,
     betweenness_triples,
     complete_quadruple,
     fano,
+    load_triples_text,
     metrizable,
     enum_triple_systems,
     triple_system,
@@ -77,38 +79,38 @@ class TestSmallDecisions:
 
 
 class TestWitnessProperties:
-    def test_witness_respects_cap(self):
-        T = betweenness_triples(pentagon())
-        for cap in (1, Fraction(1, 2), 3):
-            res = metrizable(T, normalization_cap=cap)
+    def test_witness_distances_are_at_most_one(self):
+        systems = [betweenness_triples(pentagon()), *seeded_six_point_systems(20)]
+        for T in systems:
+            res = metrizable(T)
             assert res.metrizable
             w = res.witness
             top = max(w.dist[i][j] for i in range(w.n) for j in range(i + 1, w.n))
-            assert top <= cap
+            assert top <= 1
 
-    def test_cap_scales_witness_consistently(self):
-        # the feasible region scales linearly, so doubling the cap cannot
-        # change which triple systems are metrizable
-        T = triple_system(4, [(0, 1, 2), (0, 1, 3)])
-        r1 = metrizable(T, normalization_cap=1)
-        r2 = metrizable(T, normalization_cap=2)
-        assert r1.metrizable is r2.metrizable is True
-        assert r1.assignments_tried == r2.assignments_tried
-        assert betweenness_triples(r1.witness).edges == T.edges
-        assert betweenness_triples(r2.witness).edges == T.edges
+
+class TestWitnessOracle:
+    """metrizable's witness and best_margin against the Fraction route."""
+
+    @pytest.mark.parametrize(
+        "systems",
+        [
+            pytest.param(lambda: [T for n in (3, 4, 5) for T in enum_triple_systems(n)], id="n3-5"),
+            pytest.param(lambda: [complete_quadruple()], id="quadruple"),
+            pytest.param(lambda: golden_triple_systems(), id="golden"),
+            pytest.param(lambda: seeded_six_point_systems(20, 5, 8), id="n6-seeded"),
+        ],
+    )
+    def test_matches_the_fraction_route(self, systems):
+        for T in systems():
+            res = metrizable(T)
+            assert (res.witness, res.best_margin) == helpers.fraction_witness(T)
 
 
 class TestValidation:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             metrizable(triple_system(2, []))
-
-    def test_cap_must_be_positive(self):
-        T = triple_system(3, [])
-        with pytest.raises(BadParams):
-            metrizable(T, normalization_cap=0)
-        with pytest.raises(BadParams):
-            metrizable(T, normalization_cap=Fraction(-1, 2))
 
     def test_edge_budget_enforced(self):
         # 13 edges on 7 points exceeds the default budget of 12
@@ -144,12 +146,23 @@ class TestSizeCap:
             metrizable(triple_system(MAX_METRIZABLE_N + 1, [(0, 1, 2)]))
 
 
+def golden_triple_systems():
+    """The inputs under tests/golden/inputs that load as triple systems."""
+    systems = []
+    for path in sorted((Path(__file__).parent / "golden" / "inputs").iterdir()):
+        try:
+            systems.append(load_triples_text(path.read_text()))
+        except ParseError:
+            pass
+    return systems
+
+
 def scans(T):
     """The search with orbit cuts, and the oracle scan that decides every branch, on T."""
     edges = T.sorted_edges()
     autos = _automorphisms(edges)
-    full = helpers.counter_scan(T.n, edges, Fraction(1), autos[:1])
-    return _search(T.n, edges, Fraction(1), autos), full
+    full = helpers.counter_scan(T.n, edges, autos[:1])
+    return _search(T.n, edges, autos), full
 
 
 @pytest.fixture(scope="module")
@@ -167,15 +180,15 @@ def relabelled_fano():
 
 
 def assert_same(T, reduced, full):
-    first, best, dists, decided = reduced
-    assert (first, best, dists) == full[:3]
-    assert decided <= full[3]
+    first, margin, dists, den, decided = reduced
+    assert (first, margin, dists, den) == full[:4]
+    assert decided <= full[4]
     res = metrizable(T)
     assert res.metrizable is (first is not None)
     assert res.assignments_tried == (
         first + 1 if first is not None else 3 ** len(T.edges)
     )
-    assert res.best_margin == best
+    assert res.best_margin == Fraction(margin, den)
     if first is not None:
         assert betweenness_triples(res.witness).edges == T.edges
 
@@ -193,7 +206,7 @@ class TestSymmetryReduction:
         # margin, so the full scan of the copy gives Fano's record
         relabelled = relabelled_fano()
         edges = relabelled.sorted_edges()
-        reduced = _search(7, edges, Fraction(1), _automorphisms(edges))
+        reduced = _search(7, edges, _automorphisms(edges))
         assert_same(relabelled, reduced, fano_scans[1])
         assert_same(complete_quadruple(), *scans(complete_quadruple()))
 
@@ -201,8 +214,8 @@ class TestSymmetryReduction:
         assert len(_automorphisms(fano().sorted_edges())) == 168
         reduced, full = fano_scans
         assert reduced[0] is None
-        assert reduced[3] == 18
-        assert full[3] == 3**7
+        assert reduced[4] == 18
+        assert full[4] == 3**7
 
     def test_automorphisms_are_automorphisms(self):
         T = triple_system(6, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
@@ -248,12 +261,12 @@ class TestSearchMatchesTheScan:
             edges = T.sorted_edges()
             autos = _automorphisms(edges)
             lps = 0
-            found = _search(T.n, edges, Fraction(1), autos)
+            found = _search(T.n, edges, autos)
             found_lps, lps = lps, 0
-            oracle = helpers.counter_scan(T.n, edges, Fraction(1), autos)
-            assert found[:3] == oracle[:3]
+            oracle = helpers.counter_scan(T.n, edges, autos)
+            assert found[:4] == oracle[:4]
             assert found_lps == lps
-            assert found[3] <= oracle[3]
+            assert found[4] <= oracle[4]
 
     def test_k6_plus_a_point_is_decided_fast(self):
         # the scan's first feasible branch is number 44,879,765 of 3**20
@@ -291,10 +304,10 @@ class TestStatelessSkipping:
                 continue
             checked += 1
             group, pair, alone = (
-                _search(T.n, edges, Fraction(1), a) for a in (autos, [autos[0], sigma], autos[:1])
+                _search(T.n, edges, a) for a in (autos, [autos[0], sigma], autos[:1])
             )
-            assert pair[:3] == alone[:3]
-            assert group[3] <= pair[3] <= alone[3]
+            assert pair[:4] == alone[:4]
+            assert group[4] <= pair[4] <= alone[4]
         assert checked == 15
 
     def test_memory_stays_bounded(self, monkeypatch):
@@ -315,9 +328,9 @@ class TestStatelessSkipping:
         monkeypatch.setattr(feasibility, "_decide_branch", capped)
         tracemalloc.start()
         try:
-            assert _search(7, k6, Fraction(1), _automorphisms(k6))[::3] == (None, 2)
+            assert _search(7, k6, _automorphisms(k6))[::4] == (None, 2)
             with pytest.raises(StopScan):
-                _search(7, edges, Fraction(1), _automorphisms(edges)[:1])
+                _search(7, edges, _automorphisms(edges)[:1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -350,8 +363,8 @@ class TestTriangleRows:
         assert decided == list(range(27))
         pairs = list(itertools.combinations(range(5), 2))
         nonedges = [t for t in itertools.combinations(range(5), 3) if t not in edges]
-        for npairs, cap, triangles, equalities in calls:
-            assert (npairs, cap) == (10, 3)
+        for npairs, triangles, equalities in calls:
+            assert npairs == 10
             # every non-edge gives its rows with middle b, then a, then c
             assert [middle(pairs, r) for r in triangles] == [
                 t[i] for t in nonedges for i in (1, 0, 2)
@@ -370,7 +383,7 @@ class TestTriangleRows:
         table = _triangles(5)
         for a in set(range(3**4)) - set(decided):
             rows = [table[e][a // 3**k % 3] for k, e in enumerate(edges)]
-            assert decide(10, Fraction(3), calls[0][2], rows) is None
+            assert decide(10, calls[0][1], rows) is None
 
 
 def record_branches(monkeypatch, edges):
@@ -379,14 +392,14 @@ def record_branches(monkeypatch, edges):
     pairs = list(itertools.combinations(range(5), 2))
     calls = []
 
-    def record(npairs, cap, triangles, equalities):
-        calls.append((npairs, cap, triangles, equalities))
+    def record(npairs, triangles, equalities):
+        calls.append((npairs, triangles, equalities))
         return None
 
     monkeypatch.setattr(feasibility, "_decide_branch", record)
-    assert _search(5, edges, Fraction(3), _automorphisms(edges)[:1])[0] is None
+    assert _search(5, edges, _automorphisms(edges)[:1])[0] is None
     decided = []
-    for _, _, _, equalities in calls:
+    for _, _, equalities in calls:
         # equality k puts a point of edge k in the middle: digit k
         digits = [e.index(middle(pairs, r)) for e, r in zip(edges, equalities)]
         decided.append(sum(d * 3**k for k, d in enumerate(digits)))

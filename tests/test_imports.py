@@ -80,6 +80,14 @@ def test_package_import_loads_no_module():
     assert {m for m in loaded_modules(code) if m.startswith("metriclines.")} == set()
 
 
+def test_lp_loads_no_fractions():
+    # the solver's answer stays in integers until metrizable's best_margin
+    code = "import sys, metriclines.lp\nprint(' '.join(sorted(sys.modules)))\n"
+    loaded = loaded_modules(code)
+    assert "metriclines.lp" in loaded
+    assert [m for m in FRACTIONS if m in loaded] == []
+
+
 def test_public_names_are_their_modules_objects():
     for name in metriclines.__all__:
         module = import_module(f"metriclines.{metriclines._EXPORTS[name]}")

@@ -58,8 +58,11 @@ def oracle_lp_max(objective, rows):
 
 
 def solve(objective, rows):
-    """maximize_scaled on copies of integer (coefficients, rhs) rows."""
-    return maximize_scaled(objective, [list(a) for a, _ in rows], [b for _, b in rows])
+    """maximize_scaled on copies of integer (coefficients, rhs) rows, with
+    its value and point read as Fractions over its denominator."""
+    sol = maximize_scaled(objective, [list(a) for a, _ in rows], [b for _, b in rows])
+    assert sol.den > 0
+    return Fraction(sol.value, sol.den), tuple(Fraction(v, sol.den) for v in sol.x)
 
 
 def random_bounded_lp(rng, nvars, nrows):
@@ -75,18 +78,18 @@ def random_bounded_lp(rng, nvars, nrows):
 
 class TestSimplex:
     def test_textbook_instance(self):
-        sol = solve([3, 5], [([1, 0], 4), ([0, 2], 12), ([3, 2], 18)])
-        assert sol.value == 36
-        assert sol.x == (Fraction(2), Fraction(6))
+        value, x = solve([3, 5], [([1, 0], 4), ([0, 2], 12), ([3, 2], 18)])
+        assert value == 36
+        assert x == (Fraction(2), Fraction(6))
 
     def test_degenerate_vertex(self):
-        sol = solve([1, 1], [([1, 1], 1), ([2, 2], 2), ([1, 0], 1)])
-        assert sol.value == 1
+        value, _ = solve([1, 1], [([1, 1], 1), ([2, 2], 2), ([1, 0], 1)])
+        assert value == 1
 
     def test_origin_optimal(self):
-        sol = solve([-1, -2], [([1, 1], 5)])
-        assert sol.value == 0
-        assert sol.x == (Fraction(0), Fraction(0))
+        value, x = solve([-1, -2], [([1, 1], 5)])
+        assert value == 0
+        assert x == (Fraction(0), Fraction(0))
 
     def test_unbounded_detected(self):
         with pytest.raises(SolverFailure):
@@ -103,10 +106,10 @@ class TestSimplex:
         nvars = rng.randint(1, 3)
         nrows = rng.randint(1, 4)
         objective, rows = random_bounded_lp(rng, nvars, nrows)
-        sol = solve(objective, rows)
-        assert sol.value == oracle_lp_max(objective, rows)
+        value, x = solve(objective, rows)
+        assert value == oracle_lp_max(objective, rows)
         # the reported point is feasible and achieves the value
-        assert all(v >= 0 for v in sol.x)
+        assert all(v >= 0 for v in x)
         for coeffs, b in rows:
-            assert sum(a * v for a, v in zip(coeffs, sol.x)) <= b
-        assert sum(c * v for c, v in zip(objective, sol.x)) == sol.value
+            assert sum(a * v for a, v in zip(coeffs, x)) <= b
+        assert sum(c * v for c, v in zip(objective, x)) == value
